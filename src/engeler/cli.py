@@ -226,12 +226,21 @@ def _parse_element(text: str):
     if text.startswith("(") or text.isdigit():
         return parse_gelem(text)
     try:
-        obj = json.loads(text)
+        obj = _load_json(text)
     except json.JSONDecodeError as exc:
         raise ElementSyntaxError(
             f"{text!r} is neither element text nor JSON ({exc})"
         ) from None
     return gelem_from_json(obj)
+
+
+def _load_json(text: str):
+    """json.loads; JSON nested deeper than the decoder can follow is an
+    ElementSyntaxError, since only elements are read as JSON here."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ElementSyntaxError("JSON nested too deeply") from None
 
 
 def _read_set_file(path: str):
@@ -245,7 +254,7 @@ def _read_set_file(path: str):
         content = fh.read()
     stripped = content.strip()
     if stripped.startswith("["):
-        return gset([gelem_from_json(o) for o in json.loads(stripped)])
+        return gset([gelem_from_json(o) for o in _load_json(stripped)])
     elems = []
     for line in content.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -351,6 +360,9 @@ def cmd_enumerate(args, em, cfg):
     except BudgetExceeded as exc:
         print(f"enumerate: {exc}", file=sys.stderr)
         return EXIT_BOUNDED
+    except TemplateError as exc:
+        print(f"enumerate: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
     for e in elems:
         em.emit(gelem_to_text(e), {"element": gelem_to_json(e),
                                    "text": gelem_to_text(e)})
@@ -440,6 +452,9 @@ def cmd_closure_sweep(args, em, cfg):
             "detail": f"case={rec['case']} companion={etext(rec.get('companion'))}",
         }
         for rec in records
+    ] + [
+        {"id": term, "ok": None, "detail": f"unsupported: {msg}"}
+        for term, msg in summary["unsupported"].items()
     ]
     report = ExperimentReport(
         name="closure-sweep",
@@ -459,7 +474,8 @@ def cmd_closure_sweep(args, em, cfg):
     em.note(
         f"terms={summary['terms']} elements={summary['elements']} "
         f"closed={summary['closed']} violated={summary['violated']} "
-        f"no-case={summary['no_case']}"
+        f"no-case={summary['no_case']} "
+        f"unsupported={len(summary['unsupported'])}"
     )
     return EXIT_OK if report.verdict == "pass" else EXIT_EXPERIMENT
 

@@ -195,30 +195,39 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3, set_width: int = 1,
 
     Enumeration depth adapts per term: the rank bound is raised from 3
     up to max_rank while the step budget holds out, and the deepest
-    completed rank's elements are used.  Returns (records, summary);
-    summary counts closed / violated / no-case findings and notes the
-    rank reached per term.
+    completed rank's elements are used.  A term whose enumeration meets
+    a retained constraint the matcher cannot decide (UnsupportedMatch)
+    is skipped: summary["unsupported"] maps it to the message, and its
+    rank reached is 0.  Returns (records, summary); summary counts
+    closed / violated / no-case findings and notes the rank reached per
+    term.
     """
     from .model import Bounds
-    from .templates import BudgetExceeded, enumerate_template
+    from .templates import BudgetExceeded, UnsupportedMatch, enumerate_template
     from .terms import enumerate_s_terms, print_term
 
     records = []
     summary = {"terms": 0, "elements": 0, "closed": 0, "violated": 0,
-               "no_case": 0, "rank_reached": {}}
+               "no_case": 0, "rank_reached": {}, "unsupported": {}}
     for sigma in enumerate_s_terms(max_leaves):
         summary["terms"] += 1
+        name = print_term(sigma)
         t = template_of(sigma)
         elems, reached = [], 0
-        for rank in range(3, max_rank + 1):
-            bounds = Bounds(max_rank=rank, max_set_size=set_width,
-                            max_nat=max_nat)
-            try:
-                cur, _ = enumerate_template(t, bounds, budget=budget)
-            except BudgetExceeded:
-                break
-            elems, reached = cur, rank
-        summary["rank_reached"][print_term(sigma)] = reached
+        try:
+            for rank in range(3, max_rank + 1):
+                bounds = Bounds(max_rank=rank, max_set_size=set_width,
+                                max_nat=max_nat)
+                try:
+                    cur, _ = enumerate_template(t, bounds, budget=budget)
+                except BudgetExceeded:
+                    break
+                elems, reached = cur, rank
+        except UnsupportedMatch as exc:
+            summary["unsupported"][name] = str(exc)
+            summary["rank_reached"][name] = 0
+            continue
+        summary["rank_reached"][name] = reached
         for e in elems:
             if b0_base(e) is None:
                 continue

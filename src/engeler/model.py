@@ -131,10 +131,13 @@ _nat_cache = {}
 
 
 def nat(value: int) -> Nat:
+    """The natural `value`, a non-negative int (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"naturals only: {value!r}")
     e = _nat_cache.get(value)
     if e is None:
         if value < 0:
-            raise ValueError("naturals only")
+            raise ValueError(f"naturals only: {value!r}")
         e = _nat_cache[value] = Nat(value)
     return e
 
@@ -347,8 +350,17 @@ def gelem_from_json(obj) -> GElem:
         {"arrow": {"set": [e, ...], "elem": e}}
 
     where n is an int >= 0 (not a bool) and every e is itself an element
-    object.  Anything else, at any depth, raises ElementSyntaxError.
+    object.  Anything else, at any depth, raises ElementSyntaxError, and
+    so does an object nested deeper than the interpreter's recursion
+    limit allows.
     """
+    try:
+        return _gelem_from_json(obj)
+    except RecursionError:
+        raise ElementSyntaxError("element object nested too deeply") from None
+
+
+def _gelem_from_json(obj) -> GElem:
     if isinstance(obj, dict) and len(obj) == 1:
         if "nat" in obj:
             v = obj["nat"]
@@ -359,15 +371,17 @@ def gelem_from_json(obj) -> GElem:
             if (isinstance(inner, dict) and inner.keys() == {"set", "elem"}
                     and isinstance(inner["set"], list)):
                 return arrow(
-                    gset(gelem_from_json(m) for m in inner["set"]),
-                    gelem_from_json(inner["elem"]),
+                    gset(_gelem_from_json(m) for m in inner["set"]),
+                    _gelem_from_json(inner["elem"]),
                 )
     raise ElementSyntaxError(f"bad element object: {obj!r}")
 
 
 def parse_gelem(text: str) -> GElem:
     """Parse the text form: naturals as digits, arrows as
-    "({e1,e2} -> e)" with "{}" for the empty set."""
+    "({e1,e2} -> e)" with "{}" for the empty set.  Text nested deeper
+    than the interpreter's recursion limit allows raises
+    ElementSyntaxError, like any other text that is not an element."""
     pos = 0
     n = len(text)
 
@@ -417,7 +431,10 @@ def parse_gelem(text: str) -> GElem:
             expect("}")
             return gset(members)
 
-    e = parse_elem()
+    try:
+        e = parse_elem()
+    except RecursionError:
+        raise ElementSyntaxError("element text nested too deeply") from None
     skip_ws()
     if pos != n:
         raise ElementSyntaxError(f"trailing input at {pos} in {text!r}")

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .model import Arrow, Bounds, GElem, GSet, Nat, enumerate_g, gset, nat
+from .model import EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, enumerate_g, gset, nat
 from .terms import App, Atom, Term
 
 
@@ -1264,6 +1264,67 @@ def check_constraints(constraints, b, slack, max_arity=4):
     return True
 
 
+class _ConstraintCheck:
+    """check_constraints for one template, memoised for one call.
+
+    A retained equation reads from a binding only the values of its own
+    variables: every instance of its element and set variables, and each
+    of its arity variables with its arity chain resolved and its raised
+    lower bound.  So each equation's verdict is cached on exactly those
+    values, and bindings that differ only elsewhere share it.  The
+    equations are still tried in order, so the first False (or raise)
+    is the one check_constraints would give.  An instance is meant to
+    live for one enumeration or one match: it never sees a second
+    template, and it is dropped with the call.
+    """
+
+    def __init__(self, constraints, slack, max_arity=4):
+        self.constraints = constraints
+        self.slack = slack
+        self.max_arity = max_arity
+        self.names = [_constraint_names(c) for c in constraints]
+        self.memo = {}
+
+    def __call__(self, b):
+        for i, c in enumerate(self.constraints):
+            key = (i, _binding_slice(b, self.names[i]))
+            ok = self.memo.get(key)
+            if ok is None:
+                ok = self.memo[key] = _constraint_ok(c, b, self.slack, self.max_arity)
+            if not ok:
+                return False
+        return True
+
+
+def _constraint_names(c):
+    """The (kind, name) pairs of the binding entries a constraint can read:
+    instances differ only in their index, and an arity variable's raised
+    lower bound is kept under an "amin" entry of the same name."""
+    acc = {}
+    free_vars(c.left, acc)
+    free_vars(c.right, acc)
+    for _, ar in c.binders:
+        if isinstance(ar, AVar):
+            acc[ar.key] = ar
+    names = {(kind, name) for kind, name, _ in acc}
+    names.update(("amin", name) for kind, name in list(names) if kind == "a")
+    return frozenset(names)
+
+
+def _binding_slice(b, names):
+    """The part of binding b that a constraint with these names reads, as
+    a hashable value; arity entries are replaced by their resolution."""
+    out = []
+    for k, v in b.items():
+        if k[:2] in names:
+            if isinstance(v, AVar):
+                v = resolve_arity(v, b)
+                if isinstance(v, AVar):
+                    v = v.key + (v.minimum,)
+            out.append((k, v))
+    return frozenset(out)
+
+
 def _constraint_ok(c, b, slack, max_arity):
     if c.binders:
         (binder, arity), rest = c.binders[0], c.binders[1:]
@@ -1365,13 +1426,20 @@ def _matches_set(matcher, pattern, value, b):
 
 def matches(t: Template, e: GElem):
     """Bindings under which the concrete element realizes the template
-    (retained constraints verified)."""
+    (retained constraints verified).
+
+    Each retained constraint's verdict is memoised for the life of one
+    call, keyed on the values the binding gives to that constraint's own
+    variables, so root bindings that differ only elsewhere are checked
+    once.
+    """
     if t.is_empty:
         return
     slack = _max_set_width(e)
     matcher = Matcher(slack=slack)
+    check = _ConstraintCheck(t.constraints, slack)
     for b in matcher.match_elem(t.root, e, {}):
-        if check_constraints(t.constraints, b, slack):
+        if check(b):
             yield b
 
 
@@ -1408,6 +1476,34 @@ def _pool(rank, set_size, max_nat):
         pool = tuple(enumerate_g(rank, set_size, max_nat))
         _POOL_CACHE[key] = pool
     return pool
+
+
+def _pool_subsets(rank, set_size, max_nat):
+    """The canonical sets of at most set_size members of a pool, smallest
+    first, in itertools.combinations order.
+
+    Every set variable enumerated over the same pool shares them.  They
+    are built on demand, so a run that stops early (a cut branch, or a
+    step budget on bounds with a large pool) builds no more of them than
+    it took.
+    """
+    key = ("subsets", rank, set_size, max_nat)
+    entry = _POOL_CACHE.get(key)
+    if entry is None:
+        pool = _pool(rank, set_size, max_nat)
+        combos = itertools.chain.from_iterable(
+            itertools.combinations(pool, k) for k in range(set_size + 1))
+        entry = _POOL_CACHE[key] = ([], map(gset, combos))
+    built, source = entry
+    i = 0
+    while True:
+        if i == len(built):
+            nxt = next(source, None)
+            if nxt is None:
+                return
+            built.append(nxt)
+        yield built[i]
+        i += 1
 
 
 class _Enumerator:
@@ -1460,15 +1556,12 @@ class _Enumerator:
                 if all(x.rank <= depth for x in cur):
                     yield cur, b
                 return
-            pool = _pool(min(depth, bounds.max_rank), bounds.max_set_size,
-                         bounds.max_nat)
-            for k in range(0, bounds.max_set_size + 1):
-                for combo in itertools.combinations(pool, k):
-                    self._tick()
-                    b2 = dict(b)
-                    val = gset(combo)
-                    b2[p.key] = val
-                    yield val, b2
+            for val in _pool_subsets(min(depth, bounds.max_rank),
+                                     bounds.max_set_size, bounds.max_nat):
+                self._tick()
+                b2 = dict(b)
+                b2[p.key] = val
+                yield val, b2
             return
         if isinstance(p, SingletonPat):
             for v, b1 in self.gen_elem(p.var, depth, b):
@@ -1477,14 +1570,14 @@ class _Enumerator:
         if isinstance(p, ExplicitPat):
             def go(idx, bb, acc):
                 if idx == len(p.members):
-                    val = gset(acc)
-                    if len(val) <= bounds.max_set_size:
-                        yield val, bb
+                    yield gset(acc), bb
                     return
                 for v, b1 in self.gen_elem(p.members[idx], depth, bb):
-                    yield from go(idx + 1, b1, acc + [v])
+                    acc1 = acc | {v}
+                    if len(acc1) <= bounds.max_set_size:
+                        yield from go(idx + 1, b1, acc1)
 
-            yield from go(0, b, [])
+            yield from go(0, b, frozenset())
             return
         if isinstance(p, FamilyPat):
             ar = resolve_arity(p.arity, b)
@@ -1504,42 +1597,49 @@ class _Enumerator:
                 yield from self._gen_family(p, n, depth, b0)
             return
         if isinstance(p, UnionPat):
-            def go(idx, bb, acc):
+            def go(idx, bb, acc, big):
                 if idx == len(p.parts):
-                    val = gset(acc)
-                    if len(val) <= bounds.max_set_size:
-                        yield val, bb
+                    yield _union_value(acc, big), bb
                     return
                 for s, b1 in self.gen_set(p.parts[idx], depth, bb):
-                    yield from go(idx + 1, b1, acc + list(s))
+                    acc1 = acc.union(s)
+                    if len(acc1) <= bounds.max_set_size:
+                        yield from go(idx + 1, b1, acc1, max(big, s, key=len))
 
-            yield from go(0, b, [])
+            yield from go(0, b, frozenset(), EMPTY_SET)
             return
         raise TemplateError(f"cannot enumerate set pattern {type(p).__name__}")
 
     def _gen_family(self, p, n, depth, b):
-        bounds = self.bounds
-
-        def go(i, bb, acc):
-            if i > n:
-                val = gset(acc)
-                if len(val) <= bounds.max_set_size:
-                    yield val, bb
-                return
+        cap = self.bounds.max_set_size
+        insts = []
+        for i in range(1, n + 1):
             inst = reindex(p.body, p.binder, i)
-            if isinstance(inst, SingletonPat):
-                inst = inst.var
+            insts.append(inst.var if isinstance(inst, SingletonPat) else inst)
+
+        def go(i, bb, acc, big):
+            if i > n:
+                yield _union_value(acc, big), bb
+                return
+            inst = insts[i - 1]
             if isinstance(inst, ELEM_PATS):
                 for v, b1 in self.gen_elem(inst, depth, bb):
-                    yield from go(i + 1, b1, acc + [v])
+                    acc1 = acc | {v}
+                    if len(acc1) <= cap:
+                        yield from go(i + 1, b1, acc1, big)
             else:
                 for s, b1 in self.gen_set(inst, depth, bb):
-                    yield from go(i + 1, b1, acc + list(s))
+                    acc1 = acc.union(s)
+                    if len(acc1) <= cap:
+                        yield from go(i + 1, b1, acc1, max(big, s, key=len))
 
-        if n == 0:
-            yield gset(()), b
-            return
-        yield from go(1, b, [])
+        yield from go(1, b, frozenset(), EMPTY_SET)
+
+
+def _union_value(acc, big):
+    """The canonical set of the members in acc.  big is the largest part
+    that went into acc, so it is that set when it has as many members."""
+    return big if len(big) == len(acc) else gset(acc)
 
 
 def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
@@ -1547,6 +1647,15 @@ def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
 
     Returns (elements, truncated); truncated is always True for a
     nonempty pattern since the full family is unbounded in general.
+
+    `budget` caps the enumerator's steps (one per pattern node visited
+    and one per set tried for a set variable); a run that needs more
+    raises BudgetExceeded.  A branch is cut as soon as a partial set has
+    more than max_set_size distinct members, and steps count only the
+    work actually done, so the cut branches cost no budget.  Each
+    retained constraint's verdict is memoised for the life of one call,
+    keyed on the values the binding gives to that constraint's own
+    variables.
     """
     if t.is_empty:
         return [], False
@@ -1554,10 +1663,11 @@ def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
     out = []
     seen = set()
     slack = max(bounds.max_set_size, bounds.max_arity)
+    check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
     for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):
         if v._key in seen:
             continue
-        if check_constraints(t.constraints, b, slack, bounds.max_arity):
+        if check(b):
             seen.add(v._key)
             out.append(v)
     out.sort()

@@ -120,6 +120,9 @@ def test_member_json_element(capsys, via):
         ("member", "SKK", '{"arrow": 3}'),
         ("member", "SKK", "hello"),
         ("companion", "S", "[1]"),
+        ("member", "SKK", "({} -> " * 3000 + "0" + ")" * 3000),
+        ("member", "SKK", '{"arrow": {"set": [], "elem": ' * 3000 + '{"nat": 0}'
+         + "}}" * 3000),
     ],
 )
 def test_non_element_argument_is_parse_error(capsys, argv):
@@ -143,6 +146,13 @@ def test_enumerate(capsys):
 def test_enumerate_budget_exceeded(capsys):
     code, _, _ = run(capsys, "enumerate", "SS", "--budget", "100")
     assert code == 2
+
+
+def test_enumerate_unsupported_match_is_semantic_error(capsys):
+    code, out, err = run(capsys, "enumerate", "S(SS)SS", "--max-rank", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("enumerate:")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +227,18 @@ def test_closure_sweep_small(capsys):
     assert code == 0
     lines = [json.loads(ln) for ln in out.strip().splitlines()]
     assert lines[-1]["verdict"] == "pass"
+
+
+def test_closure_sweep_reports_unsupported_terms(capsys, monkeypatch):
+    import engeler.terms
+
+    monkeypatch.setattr(engeler.terms, "enumerate_s_terms", lambda max_leaves: [
+        engeler.terms.parse_term("S(S(SS))S"), engeler.terms.parse_term("S")])
+    code, out, _ = run(capsys, "closure-sweep", "--max-leaves", "5", "--max-rank", "3",
+                       "--max-set-size", "1", "--max-nat", "0")
+    assert code == 0
+    assert "[?? ] S(S(SS))S  unsupported: " in out
+    assert "unsupported=1" in out
 
 
 def test_search_identity(capsys):

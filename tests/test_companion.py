@@ -169,3 +169,19 @@ def test_sweep_counts_b0_based_elements_only():
     elems, _ = enumerate_template(template_of(parse_term("S")), Bounds(3, 1, 1))
     based = [e for e in elems if b0_base(e) is not None]
     assert summary["elements"] == len(based)
+
+
+def test_sweep_records_unsupported_terms(monkeypatch):
+    # S(S(SS))S is the smallest S-term whose enumeration at rank 3, set
+    # width 1 meets a retained equation the matcher cannot decide
+    import engeler.terms
+
+    monkeypatch.setattr(engeler.terms, "enumerate_s_terms",
+                        lambda max_leaves: [parse_term("S(S(SS))S"), parse_term("S")])
+    records, summary = sweep_closure(max_leaves=5, max_rank=3, set_width=1,
+                                     max_nat=0, budget=400_000)
+    assert summary["terms"] == 2
+    assert list(summary["unsupported"]) == ["S(S(SS))S"]
+    assert summary["rank_reached"] == {"S(S(SS))S": 0, "S": 3}
+    assert records and summary["elements"] == len(records)
+    assert {r["sigma"] for r in records} == {"S"}

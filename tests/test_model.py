@@ -63,6 +63,19 @@ def test_nat_interning_and_validation():
         nat(-1)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.5, 1.0, "1", None])
+def test_nat_rejects_non_int(bad):
+    # True, False and 1.0 equal keys already in the cache; 2.5, "1" and
+    # None do not: both kinds are rejected, and the cache keeps ints
+    interned = [nat(0), nat(1)]
+    with pytest.raises(ValueError):
+        nat(bad)
+    with pytest.raises(ValueError):
+        mk_elem(bad)
+    assert [gelem_to_text(e) for e in interned] == ["0", "1"]
+    assert [nat(0), nat(1)] == interned
+
+
 def test_gset_canonicalization():
     a = gset([nat(1), nat(0), nat(1)])
     b = gset([nat(0), nat(1)])
@@ -170,6 +183,17 @@ def test_element_json_round_trip():
 def test_element_json_errors(bad):
     with pytest.raises(ElementSyntaxError):
         gelem_from_json(bad)
+
+
+def test_deeply_nested_element_is_syntax_error():
+    depth = 3000
+    with pytest.raises(ElementSyntaxError):
+        parse_gelem("({} -> " * depth + "0" + ")" * depth)
+    obj = {"nat": 0}
+    for _ in range(depth):
+        obj = {"arrow": {"set": [], "elem": obj}}
+    with pytest.raises(ElementSyntaxError):
+        gelem_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,19 @@ Golden texts go through canon_template_text because fresh-variable
 suffixes are allocation-order dependent; the canonical form is stable.
 """
 
+import itertools
 import json
 
 import pytest
 
+from engeler.companion import b0_base, closure_report
 from engeler.model import Bounds, enumerate_g, gset, nat, parse_gelem, rank
 from engeler.templates import (
     AVar,
     ArrowPat,
     BudgetExceeded,
     Constraint,
+    ELEM_PATS,
     EMPTY_TEMPLATE,
     EVar,
     ExplicitPat,
@@ -23,14 +26,17 @@ from engeler.templates import (
     SingletonPat,
     TemplateError,
     UnionPat,
+    _Enumerator,
     apply_template_chain,
     base_template,
+    check_constraints,
     enumerate_template,
     has_singleton_setvar,
     instantiate,
     matches,
     member_via_template,
     normalize,
+    reindex,
     template_of,
     template_to_json,
     template_to_text,
@@ -252,6 +258,104 @@ def test_enumeration_members_satisfy_template():
     assert elems
     for e in elems:
         assert member_via_template(tpl, e)
+
+
+class _UnprunedEnumerator(_Enumerator):
+    """The enumerator with no pruning: every set pattern builds its whole
+    value and only then drops it for being too wide."""
+
+    def gen_set(self, p, depth, b):
+        size = self.bounds.max_set_size
+        if isinstance(p, SVar) and p.key not in b:
+            pool = tuple(enumerate_g(min(depth, self.bounds.max_rank), size,
+                                     self.bounds.max_nat))
+            for k in range(size + 1):
+                for combo in itertools.combinations(pool, k):
+                    yield gset(combo), {**b, p.key: gset(combo)}
+            return
+        if isinstance(p, (ExplicitPat, UnionPat)):
+            parts = p.members if isinstance(p, ExplicitPat) else p.parts
+            yield from self._all(list(parts), depth, b, size)
+            return
+        yield from super().gen_set(p, depth, b)
+
+    def _gen_family(self, p, n, depth, b):
+        insts = [reindex(p.body, p.binder, i) for i in range(1, n + 1)]
+        insts = [q.var if isinstance(q, SingletonPat) else q for q in insts]
+        yield from self._all(insts, depth, b, self.bounds.max_set_size)
+
+    def _all(self, pats, depth, b, size):
+        def go(idx, bb, acc):
+            if idx == len(pats):
+                if len(gset(acc)) <= size:
+                    yield gset(acc), bb
+                return
+            if isinstance(pats[idx], ELEM_PATS):
+                for v, b1 in self.gen_elem(pats[idx], depth, bb):
+                    yield from go(idx + 1, b1, acc + [v])
+            else:
+                for s, b1 in self.gen_set(pats[idx], depth, bb):
+                    yield from go(idx + 1, b1, acc + list(s))
+
+        yield from go(0, b, [])
+
+
+def _reference_enumeration(t, bounds):
+    """enumerate_template with no pruning and no memo: every binding of
+    the unpruned enumerator, each checked against every constraint afresh."""
+    if t.is_empty:
+        return []
+    slack = max(bounds.max_set_size, bounds.max_arity)
+    found = {}
+    enum = _UnprunedEnumerator(bounds, budget=float("inf"))
+    for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):
+        if v not in found and check_constraints(t.constraints, b, slack, bounds.max_arity):
+            found[v] = v
+    return sorted(found)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except TemplateError as exc:
+        return type(exc).__name__
+
+
+def _bounds_id(bounds):
+    return f"{bounds.max_rank}-{bounds.max_set_size}-{bounds.max_nat}"
+
+
+@pytest.mark.parametrize("bounds", [Bounds(2, 1, 0), Bounds(2, 2, 0), Bounds(2, 1, 1)],
+                         ids=_bounds_id)
+def test_enumeration_matches_reference(bounds):
+    # every S-term of up to 4 leaves, and the K/S terms beside them, which
+    # list elements at rank 2 where S-terms list none
+    listing = 0
+    for sigma in enumerate_terms(4, alphabet=("K", "S")):
+        t = _outcome(lambda: template_of(sigma))
+        if isinstance(t, str):
+            continue  # composition unsupported by design
+        got = _outcome(lambda: enumerate_template(t, bounds)[0])
+        assert got == _outcome(lambda: _reference_enumeration(t, bounds)), print_term(sigma)
+        listing += isinstance(got, list) and bool(got)
+    assert listing > 20
+
+
+@pytest.mark.parametrize("text", ["SSS", "SS(SS)S", "S(SSS)S", "S(S(SSS))"])
+def test_rank3_enumeration_matches_reference(text):
+    # S(SSS)S and S(S(SSS)) keep retained constraints, so the memo is used
+    t = template_of(parse_term(text))
+    bounds = Bounds(3, 1, 0)
+    assert enumerate_template(t, bounds)[0] == _reference_enumeration(t, bounds)
+
+
+def test_known_closure_violation_still_found():
+    # the one violating pair of the closure sweep: a case "ii" candidate
+    # for S(S(S(SS))) at rank 3, set size 1, nat 0 is answered non-member
+    sigma = parse_term("S(S(S(SS)))")
+    elems, _ = enumerate_template(template_of(sigma), Bounds(3, 1, 0))
+    reports = [closure_report(sigma, e) for e in elems if b0_base(e) is not None]
+    assert any(r["member"] is False for r in reports)
 
 
 # ---------------------------------------------------------------------------
