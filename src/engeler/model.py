@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .terms import Term, _mix
 
@@ -203,17 +204,14 @@ def member_k(e: GElem) -> bool:
     return e.ante.elems[0] == inner.cons
 
 
-def member_s(e: GElem, distinct_r: bool = False) -> bool:
+def member_s(e: GElem) -> bool:
     """Is e an S-shaped arrow?
 
     The shape is ({tau |-> (R |-> s)} |-> (mid |-> (sigma |-> s))) where
     every member of mid is an arrow, R is exactly the set of consequents of
     mid, and sigma = tau union (union of the antecedents of mid) with
     tau a subset of sigma.  No search is needed: all pieces are read off e.
-
-    With distinct_r=True the consequents of mid must be pairwise distinct
-    (the stricter reading of the defining family); the default allows
-    repeats that collapse in the sets.
+    Consequents of mid may repeat: repeats collapse in the sets.
     """
     if not isinstance(e, Arrow) or len(e.ante) != 1:
         return False
@@ -239,10 +237,6 @@ def member_s(e: GElem, distinct_r: bool = False) -> bool:
         return False
     if not all(isinstance(a, Arrow) for a in mid):
         return False
-    if distinct_r:
-        snds = [a.cons for a in mid]
-        if len({x._key for x in snds}) != len(snds):
-            return False
     if gset(a.cons for a in mid) != r_set:
         return False
     if not tau.issubset(sigma):
@@ -281,6 +275,13 @@ def enumerate_g(max_rank: int, max_set_size: int, max_nat: int):
         fresh.sort()
         yield from fresh
         pool.extend(fresh)
+
+
+@lru_cache(maxsize=None)
+def universe(max_rank: int, max_set_size: int, max_nat: int) -> tuple:
+    """enumerate_g as a tuple, built once per bounds and shared by every
+    caller that searches the bounded universe."""
+    return tuple(enumerate_g(max_rank, max_set_size, max_nat))
 
 
 def count_g(max_rank: int, max_set_size: int, max_nat: int) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .model import Arrow, GElem, enumerate_g, gset, member_k, member_s
+from .model import Arrow, GElem, gset, member_k, member_s, universe
 from .terms import App, Atom, Term
 
 _K = "K"
@@ -42,7 +42,6 @@ class OracleBounds:
     max_set_size: int = 2
     max_nat: int = 1
     ante_cap: int = 3  # max size of a blindly searched antecedent set
-    assemble: bool = True  # add arrows built from the element's own pieces
 
 
 def subelements(e: GElem):
@@ -85,9 +84,7 @@ class Oracle:
 
     def __init__(self, bounds: OracleBounds = OracleBounds()):
         self.bounds = bounds
-        self.universe = tuple(
-            enumerate_g(bounds.max_rank, bounds.max_set_size, bounds.max_nat)
-        )
+        self.universe = universe(bounds.max_rank, bounds.max_set_size, bounds.max_nat)
         self._in_universe = {m._key for m in self.universe}
         self._members = {}  # (term, elem) -> bool
         self._den = {}  # term -> members of den(term) within the universe
@@ -167,8 +164,10 @@ class Oracle:
         return False
 
     def _extra_candidates(self, e: GElem, rich: bool):
+        """The element's own pieces; for a rich search also arrows
+        assembled from them, one and two layers deep."""
         subs = subelements(e)
-        if not (rich and self.bounds.assemble):
+        if not rich:
             return subs
         width = max(self.bounds.max_set_size, _max_width(e))
         antes = [
@@ -187,5 +186,6 @@ class Oracle:
 
 
 def member_oracle(t: Term, e: GElem, bounds: OracleBounds = OracleBounds()) -> bool:
-    """One-shot wrapper around Oracle for casual use."""
+    """One-shot wrapper around Oracle for casual use.  Its memo lives for
+    the call; the bounded universe is built once per bounds (model.universe)."""
     return Oracle(bounds).member(t, e)

@@ -92,14 +92,6 @@ def _first_redex(t: Term):
     return None
 
 
-def subterm_at(t: Term, path) -> Term:
-    for step in path:
-        if not isinstance(t, App):
-            raise RedexError(f"path {list(path)} leaves the term")
-        t = t.left if step == "left" else t.right
-    return t
-
-
 def contract(t: Term, path) -> Term:
     """Contract the redex at `path`; error if the path is not a redex."""
     if not path:

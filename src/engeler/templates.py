@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .model import EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, enumerate_g, gset, nat
+from .model import EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, gset, nat, universe
 from .terms import App, Atom, Term
 
 
@@ -57,19 +57,32 @@ class _Clash(Exception):
 # patterns
 
 
-class EVar:
-    __slots__ = ("name", "index")
+class _Var:
+    """A named variable; its index tuple tells per-index copies apart.
+
+    key is the variable's identity in bindings: (kind, name, index), with
+    kind "e", "s" or "a" for element, set and arity variables.
+    """
+
+    __slots__ = ("name", "index", "key")
+    kind = None
 
     def __init__(self, name, index=()):
         self.name = name
-        self.index = tuple(index)
+        self.index = index = tuple(index)
+        self.key = (self.kind, name, index)
 
-    @property
-    def key(self):
-        return ("e", self.name, self.index)
+    def rebuild(self, name, index):
+        """The same kind of variable with another name or index."""
+        return type(self)(name, index)
 
     def __repr__(self):
-        return f"EVar({self.name!r}, {self.index!r})"
+        return f"{type(self).__name__}({self.name!r}, {self.index!r})"
+
+
+class EVar(_Var):
+    __slots__ = ()
+    kind = "e"
 
 
 class NatPat:
@@ -87,19 +100,9 @@ class ArrowPat:
         self.cons = cons
 
 
-class SVar:
-    __slots__ = ("name", "index")
-
-    def __init__(self, name, index=()):
-        self.name = name
-        self.index = tuple(index)
-
-    @property
-    def key(self):
-        return ("s", self.name, self.index)
-
-    def __repr__(self):
-        return f"SVar({self.name!r}, {self.index!r})"
+class SVar(_Var):
+    __slots__ = ()
+    kind = "s"
 
 
 class SingletonPat:
@@ -123,17 +126,16 @@ class ExplicitPat:
         self.members = tuple(members)
 
 
-class AVar:
-    __slots__ = ("name", "index", "minimum")
+class AVar(_Var):
+    __slots__ = ("minimum",)
+    kind = "a"
 
     def __init__(self, name, index=(), minimum=0):
-        self.name = name
-        self.index = tuple(index)
+        super().__init__(name, index)
         self.minimum = minimum
 
-    @property
-    def key(self):
-        return ("a", self.name, self.index)
+    def rebuild(self, name, index):
+        return AVar(name, index, self.minimum)
 
     def __repr__(self):
         return f"AVar({self.name!r}, {self.index!r}, min={self.minimum})"
@@ -191,14 +193,12 @@ EMPTY_TEMPLATE = Template(None, ())
 
 def pat_key(p):
     """Hashable structural key (used for equality and deduplication)."""
-    if isinstance(p, EVar):
-        return ("e", p.name, p.index)
+    if isinstance(p, _Var):
+        return p.key
     if isinstance(p, NatPat):
         return ("n", p.value)
     if isinstance(p, ArrowPat):
         return ("ar", pat_key(p.ante), pat_key(p.cons))
-    if isinstance(p, SVar):
-        return ("s", p.name, p.index)
     if isinstance(p, SingletonPat):
         return ("sg", pat_key(p.var))
     if isinstance(p, ExplicitPat):
@@ -210,15 +210,13 @@ def pat_key(p):
         return ("un", tuple(pat_key(q) for q in p.parts))
     if isinstance(p, int):
         return ("int", p)
-    if isinstance(p, AVar):
-        return ("a", p.name, p.index)
     raise TypeError(f"not a pattern: {p!r}")
 
 
 def free_vars(p, acc=None):
     if acc is None:
         acc = {}
-    if isinstance(p, (EVar, SVar, AVar)):
+    if isinstance(p, _Var):
         acc[p.key] = p
     elif isinstance(p, ArrowPat):
         free_vars(p.ante, acc)
@@ -238,6 +236,37 @@ def free_vars(p, acc=None):
     return acc
 
 
+def _map_vars(p, var_fn, binder_fn=None, shadow=None):
+    """Rebuild p with var_fn applied to every variable, family arities
+    included, and binder_fn (when given) to every family binder.
+
+    A family whose binder is `shadow` rebinds that index: its arity is
+    still mapped, its body is kept as it is.
+    """
+    if isinstance(p, _Var):
+        return var_fn(p)
+    if isinstance(p, ArrowPat):
+        return ArrowPat(_map_vars(p.ante, var_fn, binder_fn, shadow),
+                        _map_vars(p.cons, var_fn, binder_fn, shadow))
+    if isinstance(p, FamilyPat):
+        ar = p.arity if isinstance(p.arity, int) else var_fn(p.arity)
+        if p.binder == shadow:
+            return FamilyPat(ar, p.binder, p.body)
+        binder = p.binder if binder_fn is None else binder_fn(p.binder)
+        return FamilyPat(ar, binder, _map_vars(p.body, var_fn, binder_fn, shadow))
+    if isinstance(p, NatPat):
+        return p
+    if isinstance(p, SingletonPat):
+        return SingletonPat(_map_vars(p.var, var_fn, binder_fn, shadow))
+    if isinstance(p, ExplicitPat):
+        return ExplicitPat(tuple(_map_vars(m, var_fn, binder_fn, shadow)
+                                 for m in p.members))
+    if isinstance(p, UnionPat):
+        return UnionPat(tuple(_map_vars(q, var_fn, binder_fn, shadow)
+                              for q in p.parts))
+    raise TypeError(f"not a pattern: {p!r}")
+
+
 def rename_vars(p, suffix):
     """Append a namespace suffix to every variable and binder name.
 
@@ -245,83 +274,27 @@ def rename_vars(p, suffix):
     template, so they are renamed along with the binders themselves.
     """
 
-    def fix(idx):
-        return tuple(c + suffix if isinstance(c, str) else c for c in idx)
+    def rename(v):
+        return v.rebuild(v.name + suffix,
+                         tuple(c + suffix if isinstance(c, str) else c for c in v.index))
 
-    if isinstance(p, EVar):
-        return EVar(p.name + suffix, fix(p.index))
-    if isinstance(p, SVar):
-        return SVar(p.name + suffix, fix(p.index))
-    if isinstance(p, AVar):
-        return AVar(p.name + suffix, fix(p.index), p.minimum)
-    if isinstance(p, NatPat):
-        return p
-    if isinstance(p, ArrowPat):
-        return ArrowPat(rename_vars(p.ante, suffix), rename_vars(p.cons, suffix))
-    if isinstance(p, SingletonPat):
-        return SingletonPat(rename_vars(p.var, suffix))
-    if isinstance(p, ExplicitPat):
-        return ExplicitPat(tuple(rename_vars(m, suffix) for m in p.members))
-    if isinstance(p, FamilyPat):
-        ar = rename_vars(p.arity, suffix) if isinstance(p.arity, AVar) else p.arity
-        return FamilyPat(ar, p.binder + suffix, rename_vars(p.body, suffix))
-    if isinstance(p, UnionPat):
-        return UnionPat(tuple(rename_vars(q, suffix) for q in p.parts))
-    raise TypeError(f"not a pattern: {p!r}")
+    return _map_vars(p, rename, lambda binder: binder + suffix)
 
 
 def reindex(p, old, new):
     """Replace index component `old` with `new` throughout (binder use)."""
 
-    def fix(idx):
-        return tuple(new if c == old else c for c in idx)
+    def move(v):
+        if old not in v.index:
+            return v
+        return v.rebuild(v.name, tuple(new if c == old else c for c in v.index))
 
-    if isinstance(p, EVar):
-        return EVar(p.name, fix(p.index))
-    if isinstance(p, SVar):
-        return SVar(p.name, fix(p.index))
-    if isinstance(p, AVar):
-        return AVar(p.name, fix(p.index), p.minimum)
-    if isinstance(p, NatPat):
-        return p
-    if isinstance(p, ArrowPat):
-        return ArrowPat(reindex(p.ante, old, new), reindex(p.cons, old, new))
-    if isinstance(p, SingletonPat):
-        return SingletonPat(reindex(p.var, old, new))
-    if isinstance(p, ExplicitPat):
-        return ExplicitPat(tuple(reindex(m, old, new) for m in p.members))
-    if isinstance(p, FamilyPat):
-        ar = reindex(p.arity, old, new) if isinstance(p.arity, AVar) else p.arity
-        if p.binder == old:
-            return FamilyPat(ar, p.binder, p.body)  # body shadowed, arity not
-        return FamilyPat(ar, p.binder, reindex(p.body, old, new))
-    if isinstance(p, UnionPat):
-        return UnionPat(tuple(reindex(q, old, new) for q in p.parts))
-    raise TypeError(f"not a pattern: {p!r}")
+    return _map_vars(p, move, shadow=old)
 
 
 def index_append(p, comp):
     """Append an index component to every variable (per-index fresh copy)."""
-    if isinstance(p, EVar):
-        return EVar(p.name, p.index + (comp,))
-    if isinstance(p, SVar):
-        return SVar(p.name, p.index + (comp,))
-    if isinstance(p, AVar):
-        return AVar(p.name, p.index + (comp,), p.minimum)
-    if isinstance(p, NatPat):
-        return p
-    if isinstance(p, ArrowPat):
-        return ArrowPat(index_append(p.ante, comp), index_append(p.cons, comp))
-    if isinstance(p, SingletonPat):
-        return SingletonPat(index_append(p.var, comp))
-    if isinstance(p, ExplicitPat):
-        return ExplicitPat(tuple(index_append(m, comp) for m in p.members))
-    if isinstance(p, FamilyPat):
-        ar = index_append(p.arity, comp) if isinstance(p.arity, AVar) else p.arity
-        return FamilyPat(ar, p.binder, index_append(p.body, comp))
-    if isinstance(p, UnionPat):
-        return UnionPat(tuple(index_append(q, comp) for q in p.parts))
-    raise TypeError(f"not a pattern: {p!r}")
+    return _map_vars(p, lambda v: v.rebuild(v.name, v.index + (comp,)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +359,7 @@ def _schema_value(p, b):
 
 
 def subst(p, b):
-    if isinstance(p, EVar):
-        v = b.get(p.key)
-        if v is None and p.index:
-            v = _schema_value(p, b)
-        return p if v is None else subst(v, b)
-    if isinstance(p, SVar):
+    if isinstance(p, (EVar, SVar)):
         v = b.get(p.key)
         if v is None and p.index:
             v = _schema_value(p, b)
@@ -415,7 +383,7 @@ def subst(p, b):
 
 
 def _mentions_binder(p, binder):
-    if isinstance(p, (EVar, SVar, AVar)):
+    if isinstance(p, _Var):
         return binder in p.index
     if isinstance(p, NatPat):
         return False
@@ -583,7 +551,7 @@ def _occurs(key, p):
 def _collect_foreign(p, own, scope, acc):
     """Variables in p whose index mentions a binder that is neither in
     scope inside p nor ranged over by the variable being bound."""
-    if isinstance(p, (EVar, SVar, AVar)):
+    if isinstance(p, _Var):
         gammas = {c for c in p.index
                   if isinstance(c, str) and c not in scope and c not in own}
         if gammas:
@@ -622,11 +590,7 @@ def _strip_foreign(b, var, val):
     if not foreign:
         return val
     for key, (v, gammas) in sorted(foreign.items()):
-        idx = tuple(c for c in v.index if c not in gammas)
-        if isinstance(v, AVar):
-            b[key] = AVar(v.name, idx, v.minimum)
-        else:
-            b[key] = type(v)(v.name, idx)
+        b[key] = v.rebuild(v.name, tuple(c for c in v.index if c not in gammas))
     val = subst(val, b)
     if _collect_foreign(val, own, frozenset(), {}):
         raise UnsupportedUnification(
@@ -706,9 +670,7 @@ def _unify_singletonish(var_or_member, other, b, defer):
         for v in list(free_vars(body).values()):
             if other.binder in v.index:
                 idx = tuple(c for c in v.index if c != other.binder)
-                stripped = type(v)(v.name, idx) if not isinstance(v, AVar) \
-                    else AVar(v.name, idx, v.minimum)
-                _bind(b, v, stripped)
+                _bind(b, v, v.rebuild(v.name, idx))
         unify_elem(m, subst(body, b), b, defer)
         return
     if isinstance(other, UnionPat):
@@ -717,51 +679,19 @@ def _unify_singletonish(var_or_member, other, b, defer):
     raise UnsupportedUnification(f"singleton vs {type(other).__name__}")
 
 
-def _deindex(body, binder, b):
-    """Strip the binder from variable indices: forces the body not to
-    depend on the index (all instances equal)."""
-    def strip(p):
-        if isinstance(p, (EVar, SVar, AVar)):
-            if binder in p.index:
-                idx = tuple(c for c in p.index if c != binder)
-                cls = type(p)
-                if cls is AVar:
-                    return AVar(p.name, idx, p.minimum)
-                return cls(p.name, idx)
-            return p
-        if isinstance(p, NatPat):
-            return p
-        if isinstance(p, ArrowPat):
-            return ArrowPat(strip(p.ante), strip(p.cons))
-        if isinstance(p, SingletonPat):
-            return SingletonPat(strip(p.var))
-        if isinstance(p, ExplicitPat):
-            return ExplicitPat(tuple(strip(m) for m in p.members))
-        if isinstance(p, FamilyPat):
-            ar = strip(p.arity) if isinstance(p.arity, AVar) else p.arity
-            return FamilyPat(ar, p.binder, strip(p.body) if p.binder != binder else p.body)
-        if isinstance(p, UnionPat):
-            return UnionPat(tuple(strip(q) for q in p.parts))
-        raise TypeError(f"not a pattern: {p!r}")
-
-    return strip(subst(body, b))
-
-
-def _requantify(local, binder, arity, defer):
-    """Re-home equations deferred while unifying inside a family body:
-    any that still mention the binder must stay quantified over it."""
+def _quantify(local, prefix, defer):
+    """Re-home equations deferred while unifying inside family bodies:
+    each is quantified over whichever prefix binders it mentions,
+    outermost binder first."""
     for c in local:
-        if (
-            _mentions_binder(c.left, binder)
-            or _mentions_binder(c.right, binder)
-            or any(
-                isinstance(ar, AVar) and binder in ar.index
-                for _, ar in c.binders
-            )
-        ):
-            defer.append(Constraint(((binder, arity),) + c.binders, c.left, c.right))
-        else:
-            defer.append(c)
+        for bn, bar in reversed(prefix):
+            if (
+                _mentions_binder(c.left, bn)
+                or _mentions_binder(c.right, bn)
+                or any(isinstance(ar, AVar) and bn in ar.index for _, ar in c.binders)
+            ):
+                c = Constraint(((bn, bar),) + c.binders, c.left, c.right)
+        defer.append(c)
 
 
 def _require_arity_min(a, k, b):
@@ -843,7 +773,7 @@ def unify_set(p, q, b, defer):
             unify_set(body1, q.body, b, local)
         else:
             raise UnsupportedUnification("family body kinds differ")
-        _requantify(local, q.binder, resolve_arity(q.arity, b), defer)
+        _quantify(local, ((q.binder, resolve_arity(q.arity, b)),), defer)
         return
     # anything involving a union (or a form not handled above) is kept as
     # a retained equation, solved at match/enumerate time
@@ -931,26 +861,10 @@ def compose(t1: Template, t2: Template) -> Template:
             extra_constraints.append(Constraint(cb, cl, cr))
         return root
 
-    def push(local, prefix):
-        """Quantify this scope's deferred equations over whichever prefix
-        binders they mention, outermost binder first."""
-        for c in local:
-            for bn, bar in reversed(prefix):
-                if (
-                    _mentions_binder(c.left, bn)
-                    or _mentions_binder(c.right, bn)
-                    or any(
-                        isinstance(a2, AVar) and bn in a2.index
-                        for _, a2 in c.binders
-                    )
-                ):
-                    c = Constraint(((bn, bar),) + c.binders, c.left, c.right)
-            defer.append(c)
-
     def consume_member(m, prefix):
         local = []
         unify_elem(m, add_copy(prefix), b, local)
-        push(local, prefix)
+        _quantify(local, prefix, defer)
 
     def consume(ante, prefix=()):
         ante = subst(ante, b)
@@ -958,7 +872,7 @@ def compose(t1: Template, t2: Template) -> Template:
             # the operand family is empty, so the antecedent must be empty
             local = []
             unify_set(ante, ExplicitPat(()), b, local)
-            push(local, prefix)
+            _quantify(local, prefix, defer)
             return
         if isinstance(ante, ExplicitPat):
             for m in ante.members:
@@ -1025,6 +939,11 @@ def template_of(term: Term) -> Template:
 # matching against concrete elements
 
 
+# a union with one open part tries every subset of the covered elements as
+# its overlap with the ground parts while there are at most this many
+_MAX_UNION_GROUND = 6
+
+
 class Matcher:
     """Backtracking matcher of patterns against concrete elements.
 
@@ -1033,9 +952,8 @@ class Matcher:
     by fewer than n distinct values when instances collapse.
     """
 
-    def __init__(self, slack=0, max_union_ground=6):
+    def __init__(self, slack=0):
         self.slack = slack
-        self.max_union_ground = max_union_ground
 
     # -- elements ----------------------------------------------------
     def match_elem(self, p, v, b):
@@ -1086,21 +1004,27 @@ class Matcher:
         raise UnsupportedMatch(f"set pattern {type(p).__name__}")
 
     def _match_listing(self, members, g, b):
-        # each member pattern maps to some element; jointly they cover g
+        # each member pattern maps to some element; jointly they cover g.
+        # A branch is cut when the members left cannot cover the elements
+        # not yet used, one each: it could never yield.
         if not members:
             if len(g) == 0:
                 yield b
             return
         elems = list(g)
+        last = len(members)
 
         def go(idx, bb, used):
-            if idx == len(members):
+            if idx == last:
                 if len(used) == len(elems):
                     yield bb
                 return
             for j, e in enumerate(elems):
+                used1 = used | {j}
+                if len(elems) - len(used1) > last - idx - 1:
+                    continue
                 for b1 in self.match_elem(members[idx], e, bb):
-                    yield from go(idx + 1, b1, used | {j})
+                    yield from go(idx + 1, b1, used1)
 
         yield from go(0, b, frozenset())
 
@@ -1129,27 +1053,14 @@ class Matcher:
                     yield b0
                 continue
             if body_is_elem:
-                yield from self._family_listing(p, n, list(g), b0)
+                yield from self._family_listing(p, n, g, b0)
             else:
                 yield from self._family_union(p, n, g, b0)
 
-    def _family_listing(self, p, n, elems, b):
+    def _family_listing(self, p, n, g, b):
         # surjective assignments of indices 1..n to the elements
-        def go(i, bb, used):
-            if i > n:
-                if len(used) == len(elems):
-                    yield bb
-                return
-            remaining = n - i + 1
-            for j, e in enumerate(elems):
-                missing = len(elems) - len(used | {j})
-                if missing > remaining - 1:
-                    continue
-                body_i = reindex(p.body, p.binder, i)
-                for b1 in self.match_elem(body_i, e, bb):
-                    yield from go(i + 1, b1, used | {j})
-
-        yield from go(1, b, frozenset())
+        members = [reindex(p.body, p.binder, i) for i in range(1, n + 1)]
+        yield from self._match_listing(members, g, b)
 
     def _family_union(self, p, n, g, b):
         # union over i of set-valued bodies equals g
@@ -1210,7 +1121,7 @@ class Matcher:
             return
         if len(open_parts) == 1:
             extras = list(covered)
-            if len(extras) > self.max_union_ground:
+            if len(extras) > _MAX_UNION_GROUND:
                 option_sets = [leftover, list(g)]
             else:
                 option_sets = [leftover + list(sub) for sub in _subsets(extras)]
@@ -1347,7 +1258,7 @@ def _constraint_ok(c, b, slack, max_arity):
         return False
     left = normalize(_concretize(c.left, b))
     right = normalize(_concretize(c.right, b))
-    gl, gr = _ground_set_under(left, b), _ground_set_under(right, b)
+    gl, gr = ground_set(_concretize(left, b)), ground_set(_concretize(right, b))
     if gl is not None and gr is not None:
         return gl == gr
     matcher = Matcher(slack=slack)
@@ -1358,10 +1269,6 @@ def _constraint_ok(c, b, slack, max_arity):
     raise UnsupportedMatch(
         f"set equation with both sides open: {pretty(left)} = {pretty(right)}"
     )
-
-
-def _ground_set_under(p, b):
-    return ground_set(_concretize(p, b))
 
 
 def _concretize(p, b):
@@ -1412,11 +1319,8 @@ def _value_to_set_pat(g):
 
 
 def _matches_set(matcher, pattern, value, b):
-    try:
-        for _ in matcher.match_set(pattern, value, dict(b)):
-            return True
-    except UnsupportedMatch:
-        raise
+    for _ in matcher.match_set(pattern, value, dict(b)):
+        return True
     return False
 
 
@@ -1462,20 +1366,7 @@ def instantiate(t: Template, b) -> GElem:
     return g
 
 
-def template_member(term: Term, e: GElem) -> bool:
-    return member_via_template(template_of(term), e)
-
-
 _POOL_CACHE = {}
-
-
-def _pool(rank, set_size, max_nat):
-    key = (rank, set_size, max_nat)
-    pool = _POOL_CACHE.get(key)
-    if pool is None:
-        pool = tuple(enumerate_g(rank, set_size, max_nat))
-        _POOL_CACHE[key] = pool
-    return pool
 
 
 def _pool_subsets(rank, set_size, max_nat):
@@ -1490,7 +1381,7 @@ def _pool_subsets(rank, set_size, max_nat):
     key = ("subsets", rank, set_size, max_nat)
     entry = _POOL_CACHE.get(key)
     if entry is None:
-        pool = _pool(rank, set_size, max_nat)
+        pool = universe(rank, set_size, max_nat)
         combos = itertools.chain.from_iterable(
             itertools.combinations(pool, k) for k in range(set_size + 1))
         entry = _POOL_CACHE[key] = ([], map(gset, combos))
@@ -1511,6 +1402,7 @@ class _Enumerator:
         self.bounds = bounds
         self.budget = budget
         self.steps = 0
+        self._instances = {}  # (family, arity) -> its instance patterns
 
     def _tick(self):
         self.steps += 1
@@ -1528,8 +1420,8 @@ class _Enumerator:
                 if cur.rank <= depth:
                     yield cur, b
                 return
-            for v in _pool(min(depth, bounds.max_rank), bounds.max_set_size,
-                           bounds.max_nat):
+            for v in universe(min(depth, bounds.max_rank), bounds.max_set_size,
+                              bounds.max_nat):
                 b2 = dict(b)
                 b2[p.key] = v
                 yield v, b2
@@ -1568,16 +1460,7 @@ class _Enumerator:
                 yield gset((v,)), b1
             return
         if isinstance(p, ExplicitPat):
-            def go(idx, bb, acc):
-                if idx == len(p.members):
-                    yield gset(acc), bb
-                    return
-                for v, b1 in self.gen_elem(p.members[idx], depth, bb):
-                    acc1 = acc | {v}
-                    if len(acc1) <= bounds.max_set_size:
-                        yield from go(idx + 1, b1, acc1)
-
-            yield from go(0, b, frozenset())
+            yield from self._gen_union(p.members, depth, b)
             return
         if isinstance(p, FamilyPat):
             ar = resolve_arity(p.arity, b)
@@ -1597,43 +1480,43 @@ class _Enumerator:
                 yield from self._gen_family(p, n, depth, b0)
             return
         if isinstance(p, UnionPat):
-            def go(idx, bb, acc, big):
-                if idx == len(p.parts):
-                    yield _union_value(acc, big), bb
-                    return
-                for s, b1 in self.gen_set(p.parts[idx], depth, bb):
-                    acc1 = acc.union(s)
-                    if len(acc1) <= bounds.max_set_size:
-                        yield from go(idx + 1, b1, acc1, max(big, s, key=len))
-
-            yield from go(0, b, frozenset(), EMPTY_SET)
+            yield from self._gen_union(p.parts, depth, b)
             return
         raise TemplateError(f"cannot enumerate set pattern {type(p).__name__}")
 
     def _gen_family(self, p, n, depth, b):
-        cap = self.bounds.max_set_size
-        insts = []
-        for i in range(1, n + 1):
-            inst = reindex(p.body, p.binder, i)
-            insts.append(inst.var if isinstance(inst, SingletonPat) else inst)
+        insts = self._instances.get((p, n))
+        if insts is None:
+            insts = self._instances[p, n] = []
+            for i in range(1, n + 1):
+                inst = reindex(p.body, p.binder, i)
+                insts.append(inst.var if isinstance(inst, SingletonPat) else inst)
+        yield from self._gen_union(insts, depth, b)
 
-        def go(i, bb, acc, big):
-            if i > n:
+    def _gen_union(self, parts, depth, b):
+        """The union of the parts' values (an element part adds itself),
+        each branch cut as soon as the union so far has more than
+        max_set_size members: the final union could only be larger."""
+        cap = self.bounds.max_set_size
+        last = len(parts)
+
+        def go(idx, bb, acc, big):
+            if idx == last:
                 yield _union_value(acc, big), bb
                 return
-            inst = insts[i - 1]
-            if isinstance(inst, ELEM_PATS):
-                for v, b1 in self.gen_elem(inst, depth, bb):
+            part = parts[idx]
+            if isinstance(part, ELEM_PATS):
+                for v, b1 in self.gen_elem(part, depth, bb):
                     acc1 = acc | {v}
                     if len(acc1) <= cap:
-                        yield from go(i + 1, b1, acc1, big)
+                        yield from go(idx + 1, b1, acc1, big)
             else:
-                for s, b1 in self.gen_set(inst, depth, bb):
+                for s, b1 in self.gen_set(part, depth, bb):
                     acc1 = acc.union(s)
                     if len(acc1) <= cap:
-                        yield from go(i + 1, b1, acc1, max(big, s, key=len))
+                        yield from go(idx + 1, b1, acc1, max(big, s, key=len))
 
-        yield from go(1, b, frozenset(), EMPTY_SET)
+        yield from go(0, b, frozenset(), EMPTY_SET)
 
 
 def _union_value(acc, big):
@@ -1847,20 +1730,16 @@ def has_singleton_setvar(t: Template) -> bool:
 
 
 def pretty(p) -> str:
-    if isinstance(p, EVar):
+    if isinstance(p, _Var):
         return _var_text(p.name, p.index)
     if isinstance(p, NatPat):
         return str(p.value)
     if isinstance(p, ArrowPat):
         return f"({pretty(p.ante)} -> {pretty(p.cons)})"
-    if isinstance(p, SVar):
-        return _var_text(p.name, p.index)
     if isinstance(p, SingletonPat):
         return "{" + pretty(p.var) + "}"
     if isinstance(p, ExplicitPat):
         return "{" + ", ".join(pretty(m) for m in p.members) + "}"
-    if isinstance(p, AVar):
-        return _var_text(p.name, p.index)
     if isinstance(p, FamilyPat):
         ar = str(p.arity) if isinstance(p.arity, int) else pretty(p.arity)
         if isinstance(p.body, ELEM_PATS):

@@ -6,8 +6,8 @@ machinery, so the agreement tests here are the point, not an extra.
 
 import pytest
 
-from engeler.model import enumerate_g, member_k, member_s, nat, parse_gelem
-from engeler.oracle import OracleBounds, member_oracle, subelements
+from engeler.model import enumerate_g, member_k, member_s, nat, parse_gelem, universe
+from engeler.oracle import Oracle, OracleBounds, member_oracle, subelements
 from engeler.templates import template_of, member_via_template
 from engeler.terms import enumerate_terms, parse_term, print_term
 
@@ -74,3 +74,11 @@ def test_oracle_rejects_non_sk_material():
     # an open subterm that the element shape never forces is unreachable,
     # so this one legitimately answers rather than raising
     assert member_oracle(parse_term("Sx"), nat(0)) is False
+
+
+def test_oracles_share_one_universe_per_bounds():
+    # member_oracle builds an Oracle per call; the bounded universe is
+    # enumerated once per bounds, not once per call
+    assert Oracle().universe is Oracle().universe is universe(2, 2, 1)
+    assert universe(2, 2, 1) == tuple(enumerate_g(2, 2, 1))
+    assert Oracle(OracleBounds(max_rank=1)).universe == tuple(enumerate_g(1, 2, 1))

@@ -25,18 +25,23 @@ from engeler.templates import (
     SVar,
     SingletonPat,
     TemplateError,
+    Matcher,
     UnionPat,
     _Enumerator,
+    _quantify,
     apply_template_chain,
     base_template,
     check_constraints,
     enumerate_template,
     has_singleton_setvar,
+    index_append,
     instantiate,
     matches,
     member_via_template,
     normalize,
+    pretty,
     reindex,
+    rename_vars,
     template_of,
     template_to_json,
     template_to_text,
@@ -423,3 +428,67 @@ def test_has_singleton_setvar_on_s_terms():
     # the K projection mechanism never appears in S-only compositions
     for term in enumerate_s_terms(4):
         assert not has_singleton_setvar(template_of(term)), print_term(term)
+
+
+# ---------------------------------------------------------------------------
+# the variable-rewriting walks, the quantifier and the listing matcher
+
+
+def test_reindex_shadowed_family_keeps_body_and_moves_arity():
+    fam = FamilyPat(AVar("n", ("i",), minimum=1), "i",
+                    ArrowPat(SVar("g", ("i",)), EVar("r", ("i", "j"))))
+    p = UnionPat((SVar("f", ("i",)), fam))
+    out = reindex(p, "i", 2)
+    assert pretty(out) == "f[2] + {(g[i] -> r[i,j]) : i in 1..n[2]}"
+    assert out.parts[1].arity.minimum == 1
+    # a binder that the family does not rebind reaches into its body
+    assert pretty(reindex(p, "j", 3)) == "f[i] + {(g[i] -> r[i,3]) : i in 1..n[i]}"
+
+
+def test_rename_vars_renames_binders_and_string_components_only():
+    p = FamilyPat(AVar("n", ("k", 2), minimum=2), "k",
+                  ArrowPat(SingletonPat(EVar("t")), EVar("r", ("k", 2))))
+    out = rename_vars(p, ".7")
+    assert out.binder == "k.7"
+    assert (out.arity.name, out.arity.index, out.arity.minimum) == ("n.7", ("k.7", 2), 2)
+    assert out.body.ante.var.key == ("e", "t.7", ())
+    assert out.body.cons.key == ("e", "r.7", ("k.7", 2))
+
+
+def test_index_append_reaches_arity_variables():
+    p = ExplicitPat((ArrowPat(FamilyPat(AVar("n", minimum=2), "i", SVar("f", ("i",))),
+                              NatPat(0)),))
+    fam = index_append(p, "j").members[0].ante
+    assert (fam.arity.key, fam.arity.minimum) == (("a", "n", ("j",)), 2)
+    assert fam.binder == "i"
+    assert fam.body.key == ("s", "f", ("i", "j"))
+
+
+def test_quantify_only_over_mentioned_binders():
+    n, m = AVar("n"), AVar("m", ("j",))
+    local = [
+        Constraint((), SVar("a", ("i",)), ExplicitPat(())),
+        Constraint((), SVar("b"), SVar("c", ("j",))),
+        Constraint((), SVar("d", ("i", "j")), ExplicitPat(())),
+        Constraint((("k", m),), SVar("e", ("k",)), ExplicitPat(())),
+        Constraint((), SVar("x"), SVar("y")),
+    ]
+    defer = []
+    _quantify(local, (("i", n), ("j", 3)), defer)
+    assert [[bn for bn, _ in c.binders] for c in defer] == [
+        ["i"], ["j"], ["i", "j"], ["j", "k"], []]
+    assert defer[2].binders == (("i", n), ("j", 3))
+    assert [c.left for c in defer] == [c.left for c in local]
+
+
+def test_listing_matches_are_surjective():
+    matcher = Matcher()
+    pair = ExplicitPat((EVar("x"), EVar("y")))
+    got = [(b[("e", "x", ())], b[("e", "y", ())])
+           for b in matcher.match_set(pair, gset([nat(0), nat(1)]), {})]
+    assert got == [(nat(0), nat(1)), (nat(1), nat(0))]
+    assert len(list(matcher.match_set(pair, gset([nat(0)]), {}))) == 1
+    assert list(matcher.match_set(pair, gset([nat(0), nat(1), nat(2)]), {})) == []
+    # three indices onto two elements: 2**3 - 2 surjections
+    fam = FamilyPat(3, "i", EVar("r", ("i",)))
+    assert len(list(matcher.match_set(fam, gset([nat(0), nat(1)]), {}))) == 6
