@@ -1,10 +1,13 @@
 """Command-line surface: term utilities, denotation queries, and the
 experiment drivers.
 
-Exit codes: 0 success/pass, 1 usage or parse error, 2 bounded failure
-(fuel, cycle, enumeration budget), 3 semantic error (composition or a
-violated precondition), 4 experiment fail.  All machine output is
-line-delimited JSON behind --json; human-readable text otherwise.
+Exit codes: 0 success or pass; 1 usage, parse or input error; 2 bounded
+failure (fuel, cycle, enumeration budget); 3 semantic error (an
+unsupported composition or match, or a violated precondition); 4
+experiment fail.  A command that stops on an error prints one line on
+stderr, never a traceback: `main` maps the exceptions a command raises to
+these codes in one place.  All machine output is line-delimited JSON
+behind --json; human-readable text otherwise.
 """
 
 from __future__ import annotations
@@ -15,20 +18,15 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
-from .companion import (
-    CompanionError,
-    b0,
-    closure_report,
-    sweep_closure,
-)
+from .companion import b0, closure_report, sweep_closure
 from .model import (
     ApplyExpr,
     Bounds,
     Denotation,
     ElementSyntaxError,
     Extensional,
-    arrow,
     enumerate_g,
     eval_setexpr,
     extensional_bullet,
@@ -36,7 +34,7 @@ from .model import (
     gelem_to_json,
     gelem_to_text,
     gset,
-    nat,
+    gset_to_text,
     parse_gelem,
 )
 from .rewrite import (
@@ -51,8 +49,6 @@ from .rewrite import (
 from .templates import (
     BudgetExceeded,
     TemplateError,
-    UnsupportedMatch,
-    UnsupportedUnification,
     enumerate_template,
     has_singleton_setvar,
     member_via_template,
@@ -89,12 +85,24 @@ DEFAULTS = {
     "max_nat": 1,
     "max_arity": 3,
     "budget": 2_000_000,
-    "max_s_cap": 8,
 }
+MAX_S = 8  # search-identity's largest S-leaf budget
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _count(text: str) -> int:
+    """The value of every numeric flag and config key: an integer >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 def load_config(path: str) -> dict:
@@ -113,11 +121,9 @@ def load_config(path: str) -> dict:
                     f"(known: {', '.join(sorted(DEFAULTS))})"
                 )
             try:
-                out[key] = int(val)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: value for {key} must be an integer"
-                ) from None
+                out[key] = _count(val)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
@@ -199,15 +205,15 @@ def _verdict(cases, covered=True) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; our contract reserves 2 for bounded
-    # failures, so remap.
+    # argparse prints its usage block and exits 2 on bad usage; the
+    # contract is one line on stderr and reserves 2 for bounded failures.
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_term(text: str, expand: bool):
-    """A term literal, or the name of a library combinator."""
+def _resolve_term(text: str, expand: bool = True):
+    """A term literal, or the name of a library combinator; library atoms
+    are replaced by their K/S sources when `expand` is set."""
     try:
         t = parse_term(text)
     except ParseError as first:
@@ -263,13 +269,11 @@ def _read_set_file(path: str):
     return gset(elems)
 
 
-def _bounds(cfg) -> Bounds:
-    return Bounds(
-        max_rank=cfg["max_rank"],
-        max_set_size=cfg["max_set_size"],
-        max_nat=cfg["max_nat"],
-        max_arity=cfg["max_arity"],
-    )
+def _element_text(obj) -> str:
+    """Text form of a JSON element, or of a list of them."""
+    if isinstance(obj, list):
+        return " | ".join(_element_text(o) for o in obj)
+    return gelem_to_text(gelem_from_json(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +282,11 @@ def _bounds(cfg) -> Bounds:
 
 def cmd_parse(args, em, cfg):
     t = _resolve_term(args.term, args.expand)
-    obj = {"term": print_term(t), "json": term_to_json(t)}
+    text, obj = print_term(t), {"term": print_term(t), "json": term_to_json(t)}
     if args.stats:
-        obj["stats"] = term_stats(t)
-        stats = " ".join(f"{k}={v}" for k, v in sorted(term_stats(t).items()))
-        em.emit(f"{print_term(t)}\n# {stats}", obj)
-    else:
-        em.emit(print_term(t), obj)
+        obj["stats"] = stats = term_stats(t)
+        text += "\n# " + " ".join(f"{k}={v}" for k, v in sorted(stats.items()))
+    em.emit(text, obj)
     return EXIT_OK
 
 
@@ -320,27 +322,18 @@ def cmd_normal_form(args, em, cfg):
 
 
 def cmd_template(args, em, cfg):
-    t = _resolve_term(args.term, not args.no_expand)
-    try:
-        tpl = template_of(t)
-    except (UnsupportedUnification, TemplateError) as exc:
-        print(f"template: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    tpl = template_of(_resolve_term(args.term))
     em.emit(template_to_text(tpl), {"template": template_to_json(tpl)})
     return EXIT_OK
 
 
 def cmd_member(args, em, cfg):
-    t = _resolve_term(args.term, not args.no_expand)
+    t = _resolve_term(args.term)
     e = _parse_element(args.element)
-    try:
-        if args.via == "oracle":
-            got = member_oracle(t, e)
-        else:
-            got = member_via_template(template_of(t), e)
-    except (UnsupportedUnification, UnsupportedMatch, TemplateError) as exc:
-        print(f"member: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    if args.via == "oracle":
+        got = member_oracle(t, e)
+    else:
+        got = member_via_template(template_of(t), e)
     em.emit("true" if got else "false",
             {"term": print_term(t), "element": gelem_to_json(e),
              "member": got, "via": args.via})
@@ -348,21 +341,10 @@ def cmd_member(args, em, cfg):
 
 
 def cmd_enumerate(args, em, cfg):
-    t = _resolve_term(args.term, not args.no_expand)
-    bounds = _bounds(cfg)
-    try:
-        tpl = template_of(t)
-    except (UnsupportedUnification, TemplateError) as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    try:
-        elems, _ = enumerate_template(tpl, bounds, budget=cfg["budget"])
-    except BudgetExceeded as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return EXIT_BOUNDED
-    except TemplateError as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    tpl = template_of(_resolve_term(args.term))
+    bounds = Bounds(max_rank=cfg["max_rank"], max_set_size=cfg["max_set_size"],
+                    max_nat=cfg["max_nat"], max_arity=cfg["max_arity"])
+    elems, _ = enumerate_template(tpl, bounds, budget=cfg["budget"])
     for e in elems:
         em.emit(gelem_to_text(e), {"element": gelem_to_json(e),
                                    "text": gelem_to_text(e)})
@@ -382,7 +364,8 @@ def cmd_apply(args, em, cfg):
     expr = Extensional(sets[0])
     for s in sets[1:]:
         expr = ApplyExpr(expr, Extensional(s))
-    result = eval_setexpr(expr, bounds=_bounds(cfg))
+    # extensional application reads only the rank bound
+    result = eval_setexpr(expr, bounds=Bounds(max_rank=cfg["max_rank"]))
     for e in sorted(result.elements):
         em.emit(gelem_to_text(e), {"element": gelem_to_json(e)})
     em.note(f"count={len(result.elements)} truncated={result.truncated}")
@@ -397,59 +380,36 @@ def cmd_apply(args, em, cfg):
 
 
 def cmd_companion(args, em, cfg):
-    t = _resolve_term(args.term, not args.no_expand)
-    e = _parse_element(args.element)
-    try:
-        rec = closure_report(t, e, source=args.term)
-    except (CompanionError, ValueError) as exc:
-        print(f"companion: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    rec = closure_report(_resolve_term(args.term),
+                         _parse_element(args.element), source=args.term)
     if em.as_json:
         em.emit("", rec)
-    else:
-        def show(value):
-            if isinstance(value, dict):
-                return gelem_to_text(gelem_from_json(value))
-            if isinstance(value, list):
-                return " | ".join(show(v) for v in value)
-            return str(value)
-
-        for key in ("sigma", "element", "mu", "case", "companion", "member"):
-            if key in rec:
-                val = rec[key]
-                em.emit(f"{key}: {show(val) if key in ('element', 'companion') else val}")
-        if "finding" in rec:
-            em.emit(f"finding: {rec['finding']}")
+        return EXIT_OK
+    for key in ("sigma", "element", "mu", "case", "companion", "member",
+                "finding"):
+        if key in rec:
+            val = rec[key]
+            if key in ("element", "companion") and val is not None:
+                val = _element_text(val)
+            em.emit(f"{key}: {val}")
     return EXIT_OK
 
 
 def cmd_closure_sweep(args, em, cfg):
     t0 = time.time()
-    max_leaves = args.max_leaves if args.max_leaves is not None else 4
-    shown = []
-
-    def progress(rec):
-        if not rec["member"] or rec["case"] == "none":
-            shown.append(rec)
-
     records, summary = sweep_closure(
-        max_leaves=max_leaves,
+        max_leaves=args.max_leaves,
         max_rank=cfg["max_rank"],
         set_width=cfg["max_set_size"],
         max_nat=cfg["max_nat"],
         budget=cfg["budget"],
-        progress=progress,
     )
-    def etext(obj):
-        if isinstance(obj, list):
-            return " | ".join(etext(o) for o in obj)
-        return gelem_to_text(gelem_from_json(obj)) if obj else "-"
-
     cases = [
         {
-            "id": f"{rec['sigma']} : {etext(rec['element'])}",
+            "id": f"{rec['sigma']} : {_element_text(rec['element'])}",
             "ok": bool(rec["member"]) if rec["case"] != "none" else None,
-            "detail": f"case={rec['case']} companion={etext(rec.get('companion'))}",
+            "detail": f"case={rec['case']} companion="
+                      f"{_element_text(rec['companion']) if rec['companion'] else '-'}",
         }
         for rec in records
     ] + [
@@ -459,7 +419,7 @@ def cmd_closure_sweep(args, em, cfg):
     report = ExperimentReport(
         name="closure-sweep",
         parameters={
-            "max_leaves": max_leaves,
+            "max_leaves": args.max_leaves,
             "max_rank": cfg["max_rank"],
             "set_width": cfg["max_set_size"],
             "max_nat": cfg["max_nat"],
@@ -486,23 +446,19 @@ def cmd_closure_sweep(args, em, cfg):
 
 def cmd_search_identity(args, em, cfg):
     t0 = time.time()
-    max_s = args.max_s if args.max_s is not None else 6
-    if max_s > cfg["max_s_cap"]:
-        print(
-            f"search-identity: max_s={max_s} exceeds the configured cap "
-            f"{cfg['max_s_cap']} (raise max_s_cap in the config to allow)",
-            file=sys.stderr,
-        )
+    if args.max_s > MAX_S:
+        print(f"search-identity: max_s={args.max_s} exceeds the cap {MAX_S}",
+              file=sys.stderr)
         return EXIT_USAGE
     probe = b0()
     cases = []
-    for t in enumerate_s_terms(max_s):
+    for t in enumerate_s_terms(args.max_s):
         name = print_term(t)
         behavior = identity_behavior(t, fuel=cfg["fuel"], width=cfg["width"])
         case = {"id": name, "behavior": behavior}
         try:
             hit = member_via_template(template_of(t), probe)
-        except (UnsupportedUnification, UnsupportedMatch, TemplateError) as exc:
+        except TemplateError as exc:
             hit = None
             case["semantic_note"] = str(exc)
         case["b0_member"] = hit
@@ -530,7 +486,8 @@ def cmd_search_identity(args, em, cfg):
     )
     report = ExperimentReport(
         name="search-identity",
-        parameters={"max_s": max_s, "fuel": cfg["fuel"], "width": cfg["width"]},
+        parameters={"max_s": args.max_s, "fuel": cfg["fuel"],
+                    "width": cfg["width"]},
         cases=cases,
         verdict=_verdict(cases),
         wall_time=time.time() - t0,
@@ -542,98 +499,87 @@ def cmd_search_identity(args, em, cfg):
 # --- the golden verification suite ----------------------------------------
 
 
-def _case_skk_denotation():
-    tpl = template_of(parse_term("SKK"))
-    probes = [
-        ("({0} -> 0)", True),
-        ("({1} -> 1)", True),
-        ("({0} -> 1)", False),
-        ("({0,1} -> 0)", False),
-        ("({} -> 0)", False),
-    ]
-    for text, want in probes:
+@dataclass(frozen=True)
+class GoldenDenotation:
+    """Hand-checked facts about one term's denotation: membership probes,
+    then optionally the exact listing at Bounds(rank, 1, 1)."""
+
+    term: str  # a term literal or a library name, expanded to K/S
+    probes: tuple  # (element text, expected membership) pairs
+    passed: str  # the detail reported when every check holds
+    rank: int = 0  # 0: no listing check
+    listing: tuple = ()  # the expected listing, as element texts
+    same_as: str = ""  # or: a term whose nonempty listing must match
+
+
+def _check_golden(g: GoldenDenotation):
+    tpl = template_of(_resolve_term(g.term))
+    for text, want in g.probes:
         if member_via_template(tpl, parse_gelem(text)) is not want:
             return False, f"probe {text} expected {want}"
-    elems, _ = enumerate_template(tpl, Bounds(1, 1, 1))
-    expected = [parse_gelem("({0} -> 0)"), parse_gelem("({1} -> 1)")]
-    if sorted(elems) != sorted(expected):
-        return False, f"rank-1 listing {[gelem_to_text(e) for e in elems]}"
-    return True, "5 probes + exact rank-1 listing"
+    if g.rank:
+        bounds = Bounds(g.rank, 1, 1)
+        elems, _ = enumerate_template(tpl, bounds)
+        if g.same_as:
+            expected, _ = enumerate_template(
+                template_of(_resolve_term(g.same_as)), bounds)
+            if not expected:
+                return False, f"{g.same_as} lists nothing at rank {g.rank}"
+        else:
+            expected = [parse_gelem(text) for text in g.listing]
+        if sorted(elems) != sorted(expected):
+            return False, (f"rank-{g.rank} listing "
+                           f"{[gelem_to_text(e) for e in elems]}")
+    return True, g.passed
 
 
-def _case_ki_denotation():
-    ki = expand_stdlib(parse_term("K I"))
-    tpl = template_of(ki)
-    probes = [
-        ("({} -> ({0} -> 0))", True),
-        ("({} -> ({1} -> 1))", True),
-        ("({} -> ({0} -> 1))", False),
-        ("({0} -> ({0} -> 0))", False),
-    ]
-    for text, want in probes:
-        if member_via_template(tpl, parse_gelem(text)) is not want:
-            return False, f"probe {text} expected {want}"
-    # same denotation as SK, element for element, at these bounds
-    a, _ = enumerate_template(tpl, Bounds(2, 1, 1))
-    b, _ = enumerate_template(template_of(parse_term("SK")), Bounds(2, 1, 1))
-    if sorted(a) != sorted(b) or not a:
-        return False, "K·I and S·K listings differ"
-    return True, "4 probes; listing agrees with SK"
-
-
-def _case_kstarstar_denotation():
-    t = expand_stdlib(stdlib_lookup("Kstarstar"))
-    tpl = template_of(t)
-    probes = [
-        ("({} -> ({} -> ({0} -> 0)))", True),
-        ("({} -> ({} -> ({0} -> 1)))", False),
-        ("({0} -> ({} -> ({0} -> 0)))", False),
-    ]
-    for text, want in probes:
-        if member_via_template(tpl, parse_gelem(text)) is not want:
-            return False, f"probe {text} expected {want}"
-    elems, _ = enumerate_template(tpl, Bounds(3, 1, 1))
-    expected = [
-        parse_gelem("({} -> ({} -> ({0} -> 0)))"),
-        parse_gelem("({} -> ({} -> ({1} -> 1)))"),
-    ]
-    if sorted(elems) != sorted(expected):
-        return False, f"rank-3 listing has {len(elems)} elements"
-    return True, "3 probes + exact rank-3 listing"
-
-
-def _case_sk_template():
-    tpl = template_of(parse_term("SK"))
-    elems, _ = enumerate_template(tpl, Bounds(2, 1, 1))
-    expected = [
-        parse_gelem("({} -> ({0} -> 0))"),
-        parse_gelem("({} -> ({1} -> 1))"),
-    ]
-    if sorted(elems) != sorted(expected):
-        return False, f"listing {[gelem_to_text(e) for e in elems]}"
-    if member_via_template(tpl, parse_gelem("({0} -> 0)")):
-        return False, "nonempty first antecedent accepted"
-    return True, "empty-antecedent shape confirmed"
-
-
-def _case_ss_template():
-    tpl = template_of(parse_term("SS"))
-    inner = arrow(gset([arrow(gset([]), arrow(gset([]), nat(0)))]),
-                  arrow(gset([]), nat(0)))
-    minimal = arrow(gset([]), inner)
-    if not member_via_template(tpl, minimal):
-        return False, "hand-checked minimal element rejected"
-    decoupled = arrow(
-        gset([]),
-        arrow(gset([arrow(gset([]), arrow(gset([]), nat(0)))]),
-              arrow(gset([]), nat(1))),
-    )
-    if member_via_template(tpl, decoupled):
-        return False, "decoupled consequent accepted"
-    elems, _ = enumerate_template(tpl, Bounds(3, 1, 1))
-    if elems:
-        return False, f"unexpected rank-3 elements: {len(elems)}"
-    return True, "minimal member in, decoupled variant out, no rank-3 elements"
+GOLDEN = {
+    "skk-denotation": GoldenDenotation(
+        "SKK",
+        (("({0} -> 0)", True), ("({1} -> 1)", True), ("({0} -> 1)", False),
+         ("({0,1} -> 0)", False), ("({} -> 0)", False)),
+        "5 probes + exact rank-1 listing",
+        rank=1, listing=("({0} -> 0)", "({1} -> 1)"),
+    ),
+    "ki-denotation": GoldenDenotation(
+        "K I",
+        (("({} -> ({0} -> 0))", True), ("({} -> ({1} -> 1))", True),
+         ("({} -> ({0} -> 1))", False), ("({0} -> ({0} -> 0))", False)),
+        "4 probes; listing agrees with SK",
+        rank=2, same_as="SK",
+    ),
+    "kstarstar-denotation": GoldenDenotation(
+        "Kstarstar",
+        (("({} -> ({} -> ({0} -> 0)))", True),
+         ("({} -> ({} -> ({0} -> 1)))", False),
+         ("({0} -> ({} -> ({0} -> 0)))", False)),
+        "3 probes + exact rank-3 listing",
+        rank=3,
+        listing=("({} -> ({} -> ({0} -> 0)))", "({} -> ({} -> ({1} -> 1)))"),
+    ),
+    # a nonempty first antecedent is rejected
+    "sk-template": GoldenDenotation(
+        "SK",
+        (("({0} -> 0)", False),),
+        "empty-antecedent shape confirmed",
+        rank=2, listing=("({} -> ({0} -> 0))", "({} -> ({1} -> 1))"),
+    ),
+    # the hand-checked minimal member is in, the variant whose consequent
+    # is decoupled from its antecedent is out, and nothing has rank 3
+    "ss-template": GoldenDenotation(
+        "SS",
+        (("({} -> ({({} -> ({} -> 0))} -> ({} -> 0)))", True),
+         ("({} -> ({({} -> ({} -> 0))} -> ({} -> 1)))", False)),
+        "minimal member in, decoupled variant out, no rank-3 elements",
+        rank=3,
+    ),
+    # the base element b0 is in, two non-members are out
+    "sigma0-contains-b0": GoldenDenotation(
+        "Sigma0",
+        (("({0} -> 0)", True), ("({0} -> 1)", False), ("({} -> 0)", False)),
+        "base element in, two non-members rejected",
+    ),
+}
 
 
 def _sample_sets(rng, pool, max_size=2):
@@ -656,8 +602,8 @@ def _case_k_law():
             return False, f"trial {trial}: truncated"
         if result.elements != m:
             return False, (
-                f"trial {trial}: K applied to {gset_text(m)}, {gset_text(n)} "
-                f"gave {gset_text(result.elements)}"
+                f"trial {trial}: K applied to {gset_to_text(m)}, "
+                f"{gset_to_text(n)} gave {gset_to_text(result.elements)}"
             )
     return True, "200 sampled pairs, exact agreement"
 
@@ -684,7 +630,7 @@ def _case_s_law():
         if lhs.elements != rhs:
             return False, (
                 f"trial {trial}: composition law broke on "
-                f"{gset_text(m)}, {gset_text(n)}, {gset_text(ell)}"
+                f"{gset_to_text(m)}, {gset_to_text(n)}, {gset_to_text(ell)}"
             )
     return True, "200 sampled triples, exact agreement"
 
@@ -727,34 +673,23 @@ def _case_sigma0_identity():
     return True, "applied to a fresh variable, rewrites to it"
 
 
-def _case_sigma0_contains_b0():
-    sigma = expand_stdlib(stdlib_lookup("Sigma0"))
-    tpl = template_of(sigma)
-    if not member_via_template(tpl, b0()):
-        return False, "base element missing from the denotation"
-    for text in ("({0} -> 1)", "({} -> 0)"):
-        if member_via_template(tpl, parse_gelem(text)):
-            return False, f"spurious member {text}"
-    return True, "base element in, two non-members rejected"
-
-
-def gset_text(s):
-    return "{" + ",".join(gelem_to_text(e) for e in sorted(s)) + "}"
+def _golden(name):
+    return name, partial(_check_golden, GOLDEN[name])
 
 
 VERIFY_CASES = [
-    ("skk-denotation", _case_skk_denotation),
-    ("ki-denotation", _case_ki_denotation),
-    ("kstarstar-denotation", _case_kstarstar_denotation),
-    ("sk-template", _case_sk_template),
-    ("ss-template", _case_ss_template),
+    _golden("skk-denotation"),
+    _golden("ki-denotation"),
+    _golden("kstarstar-denotation"),
+    _golden("sk-template"),
+    _golden("ss-template"),
     ("k-law", _case_k_law),
     ("s-law", _case_s_law),
     ("singleton-sweep", _case_singleton_sweep),
     ("closure-sweep", _case_closure_sweep),
     ("sk-sksk-reduction", _case_sk_sksk_reduction),
     ("sigma0-identity", _case_sigma0_identity),
-    ("sigma0-contains-b0", _case_sigma0_contains_b0),
+    _golden("sigma0-contains-b0"),
 ]
 
 
@@ -808,14 +743,14 @@ def _add_common(sp):
                     help="line-delimited JSON output")
 
 
-def _add_bounds(sp):
-    sp.add_argument("--max-rank", dest="max_rank", type=int, default=None)
-    sp.add_argument("--max-set-size", dest="max_set_size", type=int,
-                    default=None)
-    sp.add_argument("--max-nat", dest="max_nat", type=int, default=None)
-    sp.add_argument("--max-arity", dest="max_arity", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None,
-                    help="enumeration step budget")
+def _add_counts(sp, *keys):
+    """Numeric flags for config keys; an unset flag keeps the config value."""
+    for key in keys:
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=_count,
+                        default=None, help=f"default {DEFAULTS[key]} or config {key}")
+
+
+_BOUNDS = ("max_rank", "max_set_size", "max_nat")
 
 
 def build_parser() -> _Parser:
@@ -834,7 +769,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reduce", help="leftmost-outermost rewriting")
     p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=None)
+    _add_counts(p, "fuel")
     p.add_argument("--trace", action="store_true", help="print every step")
     p.add_argument("--expand", action="store_true")
     _add_common(p)
@@ -842,15 +777,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("normal-form", help="reduce and print the final term")
     p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=None)
+    _add_counts(p, "fuel")
     p.add_argument("--expand", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_normal_form)
 
     p = sub.add_parser("template", help="denotation description of a K/S term")
     p.add_argument("term")
-    p.add_argument("--no-expand", action="store_true",
-                   help="fail on library combinators instead of expanding")
     _add_common(p)
     p.set_defaults(fn=cmd_template)
 
@@ -858,15 +791,13 @@ def build_parser() -> _Parser:
     p.add_argument("term")
     p.add_argument("element", help="element text like '({0} -> 0)' or JSON")
     p.add_argument("--via", choices=("template", "oracle"), default="template")
-    p.add_argument("--no-expand", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("enumerate",
                        help="list denotation elements within bounds")
     p.add_argument("term")
-    p.add_argument("--no-expand", action="store_true")
-    _add_bounds(p)
+    _add_counts(p, *_BOUNDS, "max_arity", "budget")
     _add_common(p)
     p.set_defaults(fn=cmd_enumerate)
 
@@ -877,7 +808,7 @@ def build_parser() -> _Parser:
                         "written by --json (e.g. [{\"nat\": 0}]), or one "
                         "element per line in text or JSON form, with '#' "
                         "comments")
-    _add_bounds(p)
+    _add_counts(p, "max_rank")
     _add_common(p)
     p.set_defaults(fn=cmd_apply)
 
@@ -885,24 +816,22 @@ def build_parser() -> _Parser:
                        help="companion construction for one element")
     p.add_argument("term")
     p.add_argument("element")
-    p.add_argument("--no-expand", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_companion)
 
     p = sub.add_parser("closure-sweep",
                        help="companion closure over enumerated elements")
-    p.add_argument("--max-leaves", type=int, default=None,
+    p.add_argument("--max-leaves", type=_count, default=4,
                    help="S-leaf budget for the term sweep (default 4)")
-    _add_bounds(p)
+    _add_counts(p, *_BOUNDS, "budget")
     _add_common(p)
     p.set_defaults(fn=cmd_closure_sweep)
 
     p = sub.add_parser("search-identity",
                        help="look for identity behavior among S-only terms")
-    p.add_argument("--max-s", dest="max_s", type=int, default=None,
-                   help="S-leaf budget (default 6)")
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--max-s", type=_count, default=6,
+                   help=f"S-leaf budget (default 6, at most {MAX_S})")
+    _add_counts(p, "fuel", "width")
     _add_common(p)
     p.set_defaults(fn=cmd_search_identity)
 
@@ -921,24 +850,24 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse already printed usage/help; surface its status as a
-        # return value so embedders never see the exception
+        # argparse already printed its one-line error or the help; surface
+        # its status as a return value so embedders never see the exception
         return int(exc.code or 0)
+    # The one map from exceptions to exit codes; the first match wins.
+    # ParseError, ElementSyntaxError, JSONDecodeError and ConfigError are
+    # ValueErrors, and BudgetExceeded is a TemplateError.
     try:
-        cfg = effective_settings(args)
-    except (ConfigError, OSError) as exc:
+        return args.fn(args, Emitter(args.json), effective_settings(args))
+    except (ParseError, ElementSyntaxError, json.JSONDecodeError, ConfigError,
+            KeyError, OSError) as exc:
         print(f"engeler: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    em = Emitter(getattr(args, "json", False))
-    try:
-        return args.fn(args, em, cfg)
-    except (ParseError, ElementSyntaxError, KeyError,
-            json.JSONDecodeError) as exc:
-        print(f"engeler: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"engeler: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except BudgetExceeded as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_BOUNDED
+    except (TemplateError, ValueError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

@@ -251,7 +251,6 @@ def closure_report(sigma: Term, e: GElem, source: str = "") -> dict:
     from .terms import print_term
 
     mu = choose_mu(e)
-    t = template_of(sigma)
     record = {
         "sigma": print_term(sigma),
         "element": gelem_to_json(e),
@@ -264,6 +263,9 @@ def closure_report(sigma: Term, e: GElem, source: str = "") -> dict:
     except NoCaseApplies as exc:
         record.update(case="none", companion=None, member=None, finding=str(exc))
         return record
+    # companion_candidates checks the term first, so the template is
+    # built only for a closed S-only term
+    t = template_of(sigma)
     cases = sorted({case for case, _ in cands})
     members = [member_via_template(t, c) for _, c in cands]
     if len(cands) == 1:

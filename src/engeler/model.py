@@ -190,6 +190,17 @@ def max_nat(e: GElem) -> int:
     return e.max_nat
 
 
+def max_width(e: GElem) -> int:
+    """Size of the largest antecedent set anywhere inside e (0 if none)."""
+    if isinstance(e, Arrow):
+        return max(
+            len(e.ante),
+            max((max_width(x) for x in e.ante), default=0),
+            max_width(e.cons),
+        )
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Base membership patterns
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .model import Arrow, GElem, gset, member_k, member_s, universe
+from .model import Arrow, GElem, gset, max_width, member_k, member_s, universe
 from .terms import App, Atom, Term
 
 _K = "K"
@@ -58,16 +58,6 @@ def subelements(e: GElem):
             work.append(x.cons)
             work.extend(x.ante)
     return list(seen.values())
-
-
-def _max_width(e: GElem) -> int:
-    if isinstance(e, Arrow):
-        return max(
-            len(e.ante),
-            max((_max_width(x) for x in e.ante), default=0),
-            _max_width(e.cons),
-        )
-    return 0
 
 
 def _tau_choices(sigma, fsts_union):
@@ -169,7 +159,7 @@ class Oracle:
         subs = subelements(e)
         if not rich:
             return subs
-        width = max(self.bounds.max_set_size, _max_width(e))
+        width = max(self.bounds.max_set_size, max_width(e))
         antes = [
             gset(c) for k in range(0, width + 1) for c in combinations(subs, k)
         ]

@@ -64,32 +64,26 @@ def _redex_parts(t: Term):
     return None
 
 
-def find_redexes(t: Term):
-    """All redex positions in leftmost-outermost order (preorder)."""
-    out = []
+def _redex_paths(t: Term):
+    """Redex positions in leftmost-outermost order (preorder), lazily."""
     work = [(t, ())]
     while work:
         node, path = work.pop()
         if not isinstance(node, App):
             continue
         if _redex_parts(node) is not None:
-            out.append(path)
+            yield path
         work.append((node.right, path + ("right",)))
         work.append((node.left, path + ("left",)))
-    return out
+
+
+def find_redexes(t: Term):
+    """All redex positions in leftmost-outermost order (preorder)."""
+    return list(_redex_paths(t))
 
 
 def _first_redex(t: Term):
-    work = [(t, ())]
-    while work:
-        node, path = work.pop()
-        if not isinstance(node, App):
-            continue
-        if _redex_parts(node) is not None:
-            return path
-        work.append((node.right, path + ("right",)))
-        work.append((node.left, path + ("left",)))
-    return None
+    return next(_redex_paths(t), None)
 
 
 def contract(t: Term, path) -> Term:

@@ -29,7 +29,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .model import EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, gset, nat, universe
+from .model import (
+    EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, gset, max_width, nat, universe,
+)
 from .terms import App, Atom, Term
 
 
@@ -1156,16 +1158,6 @@ def _subsets(xs):
 # constraint checking at match/enumerate time
 
 
-def _max_set_width(e):
-    if isinstance(e, Arrow):
-        return max(
-            len(e.ante),
-            max((_max_set_width(x) for x in e.ante), default=0),
-            _max_set_width(e.cons),
-        )
-    return 0
-
-
 def check_constraints(constraints, b, slack, max_arity=4):
     """All retained equations hold (for some value of any leftover
     existential variables) under concrete bindings b."""
@@ -1339,7 +1331,7 @@ def matches(t: Template, e: GElem):
     """
     if t.is_empty:
         return
-    slack = _max_set_width(e)
+    slack = max_width(e)
     matcher = Matcher(slack=slack)
     check = _ConstraintCheck(t.constraints, slack)
     for b in matcher.match_elem(t.root, e, {}):
@@ -1574,7 +1566,7 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
         return [], False
     sets = [s if isinstance(s, GSet) else gset(s) for s in arg_sets]
     slack = max(bounds.max_set_size, bounds.max_arity,
-                max((_max_set_width(e) for s in sets for e in s), default=0))
+                max((max_width(e) for s in sets for e in s), default=0))
     matcher = Matcher(slack=slack)
     cap = max(bounds.max_set_size, bounds.max_arity)
     truncated = False

@@ -194,7 +194,8 @@ def _tokenize(text):
 def parse_term(text: str) -> Term:
     """Parse concrete syntax: juxtaposition or '·' for application,
     parentheses for grouping, atoms KSBIJLM, variables x0, x1, ... with
-    aliases x y z w."""
+    aliases x y z w.  Text nested deeper than the interpreter's recursion
+    limit allows raises ParseError, like any other malformed text."""
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty term", _byte_offset(text, len(text)))
@@ -250,7 +251,11 @@ def parse_term(text: str) -> Term:
             return inner
         raise ParseError("expected a term", _byte_offset(text, ci))
 
-    result = parse_seq()
+    try:
+        result = parse_seq()
+    except RecursionError:
+        raise ParseError("term nested too deeply",
+                         _byte_offset(text, peek()[2])) from None
     kind, _, ci = peek()
     if kind is not None:
         raise ParseError("unbalanced ')'", _byte_offset(text, ci))

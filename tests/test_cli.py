@@ -270,6 +270,21 @@ def test_verify_paper_single_case(capsys):
     assert "pass" in out
 
 
+def test_verify_paper_full_suite(capsys):
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("verdict: pass (12 cases")
+
+
+def test_golden_checker_reports_the_failed_check():
+    probe = cli.GoldenDenotation("SKK", (("({0} -> 1)", True),), "unused")
+    assert cli._check_golden(probe) == (False, "probe ({0} -> 1) expected True")
+    listing = cli.GoldenDenotation("SKK", (), "unused", rank=1,
+                                   listing=("({0} -> 0)",))
+    assert cli._check_golden(listing) == (
+        False, "rank-1 listing ['({0} -> 0)', '({1} -> 1)']")
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -296,6 +311,61 @@ def test_unknown_config_key(capsys, tmp_path):
 
 def test_missing_config_file(capsys, tmp_path):
     assert cli.main(["parse", "S", "--config", str(tmp_path / "nope.conf")]) == 1
+
+
+def test_negative_config_value(capsys, tmp_path):
+    cfg = tmp_path / "engeler.conf"
+    cfg.write_text("budget = -5\n")
+    code, _, err = run(capsys, "enumerate", "SKK", "--config", str(cfg))
+    assert code == 1
+    assert err == f"engeler: {cfg}:1: budget: expected a non-negative integer, got '-5'\n"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: every misuse is one line on stderr, never a traceback
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        # a library name without a K/S definition
+        (("template", "J"), 3, "template: no K/S definition available for J"),
+        (("member", "J", "0"), 3, "member: no K/S definition"),
+        (("enumerate", "J"), 3, "enumerate: no K/S definition"),
+        (("companion", "J", "({0} -> 0)"), 3, "companion: no K/S definition"),
+        (("parse", "J", "--expand"), 3, "parse: no K/S definition"),
+        # preconditions of the oracle and the companion construction
+        (("member", "--via", "oracle", "Sx", "({} -> ({} -> 0))"), 3,
+         "member: oracle handles closed applicative terms only"),
+        (("companion", "Sx", "({0} -> 0)"), 3, "companion: term must be closed"),
+        (("parse", "(" * 3000 + "S" + ")" * 3000), 1,
+         "engeler: term nested too deeply"),
+        # flags and values the parser rejects
+        (("template", "SKK", "--no-expand"), 1,
+         "engeler: error: unrecognized arguments: --no-expand"),
+        (("closure-sweep", "--max-arity", "2"), 1,
+         "engeler: error: unrecognized arguments: --max-arity"),
+        (("enumerate", "SKK", "--max-set-size", "-1"), 1,
+         "engeler enumerate: error: argument --max-set-size: expected a "
+         "non-negative integer, got '-1'"),
+        (("search-identity", "--max-s", "-1"), 1,
+         "engeler search-identity: error: argument --max-s"),
+        (("search-identity", "--max-s", "9"), 1,
+         "search-identity: max_s=9 exceeds the cap 8"),
+        (("verify-paper", "--case", "nope"), 1, "verify-paper: unknown case 'nope'"),
+        (("apply", "no-such-set-file.txt", "no-such-set-file.txt"), 1,
+         "engeler: [Errno 2] No such file or directory"),
+        (("enumerate", "SS", "--budget", "100"), 2,
+         "enumerate: template enumeration exceeded 100 steps"),
+    ],
+)
+def test_exit_code_contract(capsys, argv, code, prefix):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix)
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ def test_application_associates_left():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "(", ")K", "S(", "S)", "·K", "K·", "f", "x-1", "K((S)", "()"],
+    ["", "(", ")K", "S(", "S)", "·K", "K·", "f", "x-1", "K((S)", "()",
+     pytest.param("(" * 3000 + "S" + ")" * 3000, id="nested-3000")],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as exc:
