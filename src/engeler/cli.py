@@ -76,7 +76,7 @@ EXIT_SEMANTIC = 3
 EXIT_EXPERIMENT = 4
 
 # Config file keys (key=value, '#' comments).  Flags override these;
-# these override the built-in defaults.
+# these override a command's own defaults, and those the built-in ones.
 DEFAULTS = {
     "fuel": DEFAULT_FUEL,
     "width": DEFAULT_WIDTH,
@@ -86,6 +86,9 @@ DEFAULTS = {
     "max_arity": 3,
     "budget": 2_000_000,
 }
+# closure-sweep runs at sweep_closure's own defaults, under which a full
+# sweep finishes; at DEFAULTS it runs out of time and memory
+SWEEP_DEFAULTS = {"max_set_size": 1, "budget": 400_000}
 MAX_S = 8  # search-identity's largest S-leaf budget
 
 
@@ -128,7 +131,7 @@ def load_config(path: str) -> dict:
 
 
 def effective_settings(args) -> dict:
-    cfg = dict(DEFAULTS)
+    cfg = DEFAULTS | getattr(args, "own_defaults", {})
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
     for key in DEFAULTS:
@@ -582,57 +585,50 @@ GOLDEN = {
 }
 
 
-def _sample_sets(rng, pool, max_size=2):
-    k = rng.randint(0, max_size)
-    return gset(rng.sample(pool, k))
+@dataclass(frozen=True)
+class Law:
+    """An application law of a base combinator, checked on 200 trials:
+    the denotation of `atom` applied to `operands` sampled sets must be
+    exactly the extensional right-hand side `rhs` of those sets."""
+
+    atom: str
+    seed: int
+    operands: int
+    rhs: object  # the sampled sets -> the expected set
+    broke: str  # failure text, formatted with the sets and the result
+    passed: str
 
 
-def _case_k_law():
+LAWS = {
+    "k-law": Law("K", 11, 2, lambda m, n: m,
+                 "K applied to {0}, {1} gave {result}",
+                 "200 sampled pairs, exact agreement"),
+    "s-law": Law("S", 12, 3,
+                 lambda m, n, ell: extensional_bullet(
+                     extensional_bullet(m, ell), extensional_bullet(n, ell)),
+                 "composition law broke on {0}, {1}, {2}",
+                 "200 sampled triples, exact agreement"),
+}
+
+
+def _check_law(law: Law):
     pool = list(enumerate_g(1, 1, 1))
-    rng = random.Random(11)
+    rng = random.Random(law.seed)
     wide = Bounds(max_rank=6, max_set_size=4, max_nat=3, max_arity=4)
-    k = Denotation(atom("K"))
     for trial in range(200):
-        m = _sample_sets(rng, pool)
-        n = _sample_sets(rng, pool)
-        result = eval_setexpr(
-            ApplyExpr(ApplyExpr(k, Extensional(m)), Extensional(n)), wide
-        )
+        sets = [gset(rng.sample(pool, rng.randint(0, 2)))
+                for _ in range(law.operands)]
+        expr = Denotation(atom(law.atom))
+        for s in sets:
+            expr = ApplyExpr(expr, Extensional(s))
+        result = eval_setexpr(expr, wide)
         if result.truncated:
             return False, f"trial {trial}: truncated"
-        if result.elements != m:
-            return False, (
-                f"trial {trial}: K applied to {gset_to_text(m)}, "
-                f"{gset_to_text(n)} gave {gset_to_text(result.elements)}"
-            )
-    return True, "200 sampled pairs, exact agreement"
-
-
-def _case_s_law():
-    pool = list(enumerate_g(1, 1, 1))
-    rng = random.Random(12)
-    wide = Bounds(max_rank=6, max_set_size=4, max_nat=3, max_arity=4)
-    s = Denotation(atom("S"))
-    for trial in range(200):
-        m = _sample_sets(rng, pool)
-        n = _sample_sets(rng, pool)
-        ell = _sample_sets(rng, pool)
-        lhs = eval_setexpr(
-            ApplyExpr(ApplyExpr(ApplyExpr(s, Extensional(m)), Extensional(n)),
-                      Extensional(ell)),
-            wide,
-        )
-        if lhs.truncated:
-            return False, f"trial {trial}: truncated"
-        rhs = extensional_bullet(
-            extensional_bullet(m, ell), extensional_bullet(n, ell)
-        )
-        if lhs.elements != rhs:
-            return False, (
-                f"trial {trial}: composition law broke on "
-                f"{gset_to_text(m)}, {gset_to_text(n)}, {gset_to_text(ell)}"
-            )
-    return True, "200 sampled triples, exact agreement"
+        if result.elements != law.rhs(*sets):
+            broke = law.broke.format(*map(gset_to_text, sets),
+                                     result=gset_to_text(result.elements))
+            return False, f"trial {trial}: {broke}"
+    return True, law.passed
 
 
 def _case_singleton_sweep():
@@ -645,8 +641,7 @@ def _case_singleton_sweep():
 
 
 def _case_closure_sweep():
-    _, summary = sweep_closure(max_leaves=3, max_rank=3, set_width=1,
-                               max_nat=1, budget=400_000)
+    _, summary = sweep_closure(max_leaves=3)
     if summary["violated"]:
         return False, f"{summary['violated']} closure violations"
     if summary["elements"] == 0:
@@ -658,9 +653,7 @@ def _case_closure_sweep():
 
 
 def _case_sk_sksk_reduction():
-    x = parse_term("SK(SKSK)")
-    y = parse_term("SKK")
-    if not reduces_to(x, y, fuel=50):
+    if not reduces_to(parse_term("SK(SKSK)"), parse_term("SKK"), fuel=50):
         return False, "rewrite not found within fuel 50"
     return True, "derivable within fuel 50"
 
@@ -683,8 +676,8 @@ VERIFY_CASES = [
     _golden("kstarstar-denotation"),
     _golden("sk-template"),
     _golden("ss-template"),
-    ("k-law", _case_k_law),
-    ("s-law", _case_s_law),
+    ("k-law", partial(_check_law, LAWS["k-law"])),
+    ("s-law", partial(_check_law, LAWS["s-law"])),
     ("singleton-sweep", _case_singleton_sweep),
     ("closure-sweep", _case_closure_sweep),
     ("sk-sksk-reduction", _case_sk_sksk_reduction),
@@ -743,11 +736,15 @@ def _add_common(sp):
                     help="line-delimited JSON output")
 
 
-def _add_counts(sp, *keys):
-    """Numeric flags for config keys; an unset flag keeps the config value."""
+def _add_counts(sp, *keys, own_defaults=None):
+    """Numeric flags for config keys; an unset flag keeps the config value,
+    and with none the command's own default, else the built-in one."""
+    own_defaults = own_defaults or {}
+    sp.set_defaults(own_defaults=own_defaults)
     for key in keys:
+        default = own_defaults.get(key, DEFAULTS[key])
         sp.add_argument("--" + key.replace("_", "-"), dest=key, type=_count,
-                        default=None, help=f"default {DEFAULTS[key]} or config {key}")
+                        default=None, help=f"default {default} or config {key}")
 
 
 _BOUNDS = ("max_rank", "max_set_size", "max_nat")
@@ -823,7 +820,7 @@ def build_parser() -> _Parser:
                        help="companion closure over enumerated elements")
     p.add_argument("--max-leaves", type=_count, default=4,
                    help="S-leaf budget for the term sweep (default 4)")
-    _add_counts(p, *_BOUNDS, "budget")
+    _add_counts(p, *_BOUNDS, "budget", own_defaults=SWEEP_DEFAULTS)
     _add_common(p)
     p.set_defaults(fn=cmd_closure_sweep)
 

@@ -185,8 +185,6 @@ def rank(e: GElem) -> int:
 
 def max_nat(e: GElem) -> int:
     """Largest natural mentioned anywhere inside e (0 if none)."""
-    if isinstance(e, Nat):
-        return e.value
     return e.max_nat
 
 

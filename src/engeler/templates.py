@@ -8,9 +8,14 @@ enumeration are decided by structural matching against the pattern.
 
 Pattern inventory
 -----------------
-element patterns   EVar, NatPat, ArrowPat
-set patterns       SVar, SingletonPat, ExplicitPat, FamilyPat, UnionPat
+element patterns   EVar, ArrowPat, a concrete element (GElem)
+set patterns       SVar, SingletonPat, ExplicitPat, FamilyPat, UnionPat,
+                   a concrete set (GSet)
 arity              AVar (with a lower bound), or a concrete int
+
+A concrete element or set is a ground pattern that matches only itself:
+matching puts the value bound to a variable in the variable's place.
+Composition never builds one.
 
 FamilyPat(n, i, body) is the indexed collection over i = 1..n; with an
 element body it denotes the listing {body_i}, with a set body the union
@@ -26,11 +31,11 @@ silent wrong answer).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import (
-    EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, gset, max_width, nat, universe,
+    EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, gset, max_width, universe,
 )
 from .terms import App, Atom, Term
 
@@ -85,13 +90,6 @@ class _Var:
 class EVar(_Var):
     __slots__ = ()
     kind = "e"
-
-
-class NatPat:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
 
 class ArrowPat:
@@ -159,8 +157,8 @@ class UnionPat:
         self.parts = tuple(parts)
 
 
-ELEM_PATS = (EVar, NatPat, ArrowPat)
-SET_PATS = (SVar, SingletonPat, ExplicitPat, FamilyPat, UnionPat)
+ELEM_PATS = (EVar, ArrowPat, GElem)
+SET_PATS = (SVar, SingletonPat, ExplicitPat, FamilyPat, UnionPat, GSet)
 
 
 @dataclass(frozen=True)
@@ -194,17 +192,21 @@ EMPTY_TEMPLATE = Template(None, ())
 
 
 def pat_key(p):
-    """Hashable structural key (used for equality and deduplication)."""
+    """Hashable structural key (used for equality and deduplication).
+
+    A value has the key of the literal pattern that spells it out, so it
+    dedupes against an arrow or a listing whose parts are all values.
+    """
     if isinstance(p, _Var):
         return p.key
-    if isinstance(p, NatPat):
+    if isinstance(p, Nat):
         return ("n", p.value)
-    if isinstance(p, ArrowPat):
+    if isinstance(p, (ArrowPat, Arrow)):
         return ("ar", pat_key(p.ante), pat_key(p.cons))
     if isinstance(p, SingletonPat):
         return ("sg", pat_key(p.var))
-    if isinstance(p, ExplicitPat):
-        return ("ex", tuple(pat_key(m) for m in p.members))
+    if isinstance(p, (ExplicitPat, GSet)):
+        return ("ex", tuple(pat_key(m) for m in _listing(p)))
     if isinstance(p, FamilyPat):
         ak = p.arity if isinstance(p.arity, int) else ("a",) + p.arity.key
         return ("fam", ak, p.binder, pat_key(p.body))
@@ -215,27 +217,52 @@ def pat_key(p):
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def free_vars(p, acc=None):
-    if acc is None:
-        acc = {}
-    if isinstance(p, _Var):
-        acc[p.key] = p
-    elif isinstance(p, ArrowPat):
-        free_vars(p.ante, acc)
-        free_vars(p.cons, acc)
-    elif isinstance(p, SingletonPat):
-        free_vars(p.var, acc)
-    elif isinstance(p, ExplicitPat):
-        for m in p.members:
-            free_vars(m, acc)
-    elif isinstance(p, FamilyPat):
-        if isinstance(p.arity, AVar):
-            acc[p.arity.key] = p.arity
-        free_vars(p.body, acc)
-    elif isinstance(p, UnionPat):
-        for q in p.parts:
-            free_vars(q, acc)
-    return acc
+def _listing(p):
+    """The members of an explicit listing or of a concrete set, else None."""
+    if isinstance(p, ExplicitPat):
+        return p.members
+    if isinstance(p, GSet):
+        return p.elems
+    return None
+
+
+def _parts(p):
+    """The sub-patterns directly inside p, other than a family's; a
+    variable or a value has none."""
+    if isinstance(p, ArrowPat):
+        return (p.ante, p.cons)
+    if isinstance(p, SingletonPat):
+        return (p.var,)
+    if isinstance(p, ExplicitPat):
+        return p.members
+    if isinstance(p, UnionPat):
+        return p.parts
+    return ()
+
+
+def _nodes(p):
+    """Every node of p in preorder, left to right, each paired with the
+    family binders in scope at it.  A family's arity variable comes
+    before its body and lies outside the family's own scope."""
+    out = []
+    stack = [(p, frozenset())]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        p, scope = node
+        if isinstance(p, FamilyPat):
+            stack.append((p.body, scope | {p.binder}))
+            if isinstance(p.arity, AVar):
+                stack.append((p.arity, scope))
+        elif not isinstance(p, _Var):
+            for q in reversed(_parts(p)):
+                stack.append((q, scope))
+    return out
+
+
+def free_vars(p):
+    """The variables of p, family arities included, by key in walk order."""
+    return {q.key: q for q, _ in _nodes(p) if isinstance(q, _Var)}
 
 
 def _map_vars(p, var_fn, binder_fn=None, shadow=None):
@@ -256,7 +283,7 @@ def _map_vars(p, var_fn, binder_fn=None, shadow=None):
             return FamilyPat(ar, p.binder, p.body)
         binder = p.binder if binder_fn is None else binder_fn(p.binder)
         return FamilyPat(ar, binder, _map_vars(p.body, var_fn, binder_fn, shadow))
-    if isinstance(p, NatPat):
+    if isinstance(p, (GElem, GSet)):
         return p
     if isinstance(p, SingletonPat):
         return SingletonPat(_map_vars(p.var, var_fn, binder_fn, shadow))
@@ -366,7 +393,7 @@ def subst(p, b):
         if v is None and p.index:
             v = _schema_value(p, b)
         return p if v is None else subst(v, b)
-    if isinstance(p, NatPat):
+    if isinstance(p, (GElem, GSet)):
         return p
     if isinstance(p, ArrowPat):
         return ArrowPat(subst(p.ante, b), subst(p.cons, b))
@@ -385,29 +412,13 @@ def subst(p, b):
 
 
 def _mentions_binder(p, binder):
-    if isinstance(p, _Var):
-        return binder in p.index
-    if isinstance(p, NatPat):
-        return False
-    if isinstance(p, ArrowPat):
-        return _mentions_binder(p.ante, binder) or _mentions_binder(p.cons, binder)
-    if isinstance(p, SingletonPat):
-        return _mentions_binder(p.var, binder)
-    if isinstance(p, ExplicitPat):
-        return any(_mentions_binder(m, binder) for m in p.members)
-    if isinstance(p, FamilyPat):
-        if isinstance(p.arity, AVar) and binder in p.arity.index:
-            return True
-        return _mentions_binder(p.body, binder)
-    if isinstance(p, UnionPat):
-        return any(_mentions_binder(q, binder) for q in p.parts)
-    raise TypeError(f"not a pattern: {p!r}")
+    return any(isinstance(q, _Var) and binder in q.index for q, _ in _nodes(p))
 
 
 def normalize(p):
     """Canonicalize a pattern: flatten unions, collapse degenerate
     families, dedupe explicit listings."""
-    if isinstance(p, (EVar, SVar, NatPat)):
+    if isinstance(p, (EVar, SVar, GElem, GSet)):
         return p
     if isinstance(p, ArrowPat):
         return ArrowPat(normalize(p.ante), normalize(p.cons))
@@ -425,10 +436,9 @@ def normalize(p):
     if isinstance(p, FamilyPat):
         body = normalize(p.body)
         # a union-of-singletons family is just a listing family
-        if isinstance(body, SingletonPat):
-            body = body.var
-        elif isinstance(body, ExplicitPat) and len(body.members) == 1:
-            body = body.members[0]
+        members = [body.var] if isinstance(body, SingletonPat) else _listing(body)
+        if members is not None and len(members) == 1:
+            body = members[0]
         ar = p.arity
         if ar == 0:
             return ExplicitPat(())
@@ -440,8 +450,8 @@ def normalize(p):
             return normalize(
                 UnionPat(tuple(reindex(body, p.binder, i) for i in range(1, ar + 1)))
             )
-        if not _mentions_binder(body, p.binder) and (
-            isinstance(ar, int) or ar.minimum >= 1
+        if (isinstance(ar, int) or ar.minimum >= 1) and not _mentions_binder(
+            body, p.binder
         ):
             # instances coincide, so every admissible arity yields the
             # same set: a singleton for a listing, the body for a union
@@ -450,25 +460,19 @@ def normalize(p):
             return body
         return FamilyPat(ar, p.binder, body)
     if isinstance(p, UnionPat):
-        parts = []
+        # flatten nested unions, and merge the explicit listings and
+        # concrete sets into one listing that comes first
+        members, rest = [], []
         for q in p.parts:
             q = normalize(q)
-            if isinstance(q, UnionPat):
-                parts.extend(q.parts)
-            elif isinstance(q, ExplicitPat) and not q.members:
-                continue
-            else:
-                parts.append(q)
-        # merge adjacent explicit listings
-        explicit, rest = [], []
-        for q in parts:
-            (explicit if isinstance(q, ExplicitPat) else rest).append(q)
-        if explicit:
-            merged = normalize(
-                ExplicitPat(tuple(m for q in explicit for m in q.members))
-            )
-            if merged.members or not rest:
-                rest = [merged] + rest
+            for r in q.parts if isinstance(q, UnionPat) else (q,):
+                listed = _listing(r)
+                if listed is None:
+                    rest.append(r)
+                else:
+                    members.extend(listed)
+        if members:
+            rest.insert(0, normalize(ExplicitPat(members)))
         if not rest:
             return ExplicitPat(())
         if len(rest) == 1:
@@ -479,8 +483,8 @@ def normalize(p):
 
 def ground_elem(p):
     """Concrete element if the pattern has no variables, else None."""
-    if isinstance(p, NatPat):
-        return nat(p.value)
+    if isinstance(p, GElem):
+        return p
     if isinstance(p, ArrowPat):
         a = ground_set(p.ante)
         if a is None:
@@ -493,6 +497,8 @@ def ground_elem(p):
 
 
 def ground_set(p):
+    if isinstance(p, GSet):
+        return p
     if isinstance(p, ExplicitPat):
         out = []
         for m in p.members:
@@ -546,41 +552,18 @@ def base_template(name):
 # unification (symbolic, used by compose)
 
 
-def _occurs(key, p):
-    return key in free_vars(p)
-
-
-def _collect_foreign(p, own, scope, acc):
+def _collect_foreign(p, own):
     """Variables in p whose index mentions a binder that is neither in
-    scope inside p nor ranged over by the variable being bound."""
-    if isinstance(p, _Var):
-        gammas = {c for c in p.index
-                  if isinstance(c, str) and c not in scope and c not in own}
-        if gammas:
-            prev = acc.setdefault(p.key, (p, set()))
-            prev[1].update(gammas)
-        return acc
-    if isinstance(p, NatPat):
-        return acc
-    if isinstance(p, ArrowPat):
-        _collect_foreign(p.ante, own, scope, acc)
-        _collect_foreign(p.cons, own, scope, acc)
-        return acc
-    if isinstance(p, SingletonPat):
-        return _collect_foreign(p.var, own, scope, acc)
-    if isinstance(p, ExplicitPat):
-        for m in p.members:
-            _collect_foreign(m, own, scope, acc)
-        return acc
-    if isinstance(p, FamilyPat):
-        if isinstance(p.arity, AVar):
-            _collect_foreign(p.arity, own, scope, acc)
-        return _collect_foreign(p.body, own, scope | {p.binder}, acc)
-    if isinstance(p, UnionPat):
-        for q in p.parts:
-            _collect_foreign(q, own, scope, acc)
-        return acc
-    raise TypeError(f"not a pattern: {p!r}")
+    scope inside p nor ranged over by the variable being bound, each with
+    those binders."""
+    acc = {}
+    for q, scope in _nodes(p):
+        if isinstance(q, _Var):
+            gammas = {c for c in q.index
+                      if isinstance(c, str) and c not in scope and c not in own}
+            if gammas:
+                acc.setdefault(q.key, (q, set()))[1].update(gammas)
+    return acc
 
 
 def _strip_foreign(b, var, val):
@@ -588,13 +571,13 @@ def _strip_foreign(b, var, val):
     range over holds for every instance, so val must be constant in
     gamma: collapse each gamma-indexed variable onto its stripped form."""
     own = {c for c in var.index if isinstance(c, str)}
-    foreign = _collect_foreign(val, own, frozenset(), {})
+    foreign = _collect_foreign(val, own)
     if not foreign:
         return val
     for key, (v, gammas) in sorted(foreign.items()):
         b[key] = v.rebuild(v.name, tuple(c for c in v.index if c not in gammas))
     val = subst(val, b)
-    if _collect_foreign(val, own, frozenset(), {}):
+    if _collect_foreign(val, own):
         raise UnsupportedUnification(
             "variable occurs both inside and outside its binder's scope"
         )
@@ -605,7 +588,8 @@ def _bind(b, var, val):
     if isinstance(val, (EVar, SVar)) and val.key == var.key:
         return
     val = _strip_foreign(b, var, val)
-    if _occurs(var.key, val):
+    val_vars = free_vars(val)
+    if var.key in val_vars:
         raise _Clash  # no finite solution
     kind, name, index = var.key
     stripping = (
@@ -616,7 +600,7 @@ def _bind(b, var, val):
     if not stripping:
         # a schema binding covers every instance of the variable, so a
         # value mentioning a sibling instance would be circular
-        for k2 in free_vars(val):
+        for k2 in val_vars:
             if k2[0] == kind and k2[1] == name:
                 raise UnsupportedUnification(
                     f"binding relates distinct instances of {name!r}"
@@ -634,16 +618,10 @@ def unify_elem(p, q, b, defer):
     if isinstance(q, EVar):
         _bind(b, q, p)
         return
-    if isinstance(p, NatPat) and isinstance(q, NatPat):
-        if p.value != q.value:
-            raise _Clash
-        return
     if isinstance(p, ArrowPat) and isinstance(q, ArrowPat):
         unify_set(p.ante, q.ante, b, defer)
         unify_elem(p.cons, q.cons, b, defer)
         return
-    if isinstance(p, NatPat) or isinstance(q, NatPat):
-        raise _Clash  # a natural is never an arrow
     raise UnsupportedUnification(f"elem unify: {pretty(p)} vs {pretty(q)}")
 
 
@@ -929,11 +907,16 @@ def compose(t1: Template, t2: Template) -> Template:
 
 @lru_cache(maxsize=None)
 def template_of(term: Term) -> Template:
-    """Template of a closed applicative term over the K and S atoms."""
-    if isinstance(term, Atom):
-        return base_template(term.name)
-    if isinstance(term, App):
-        return compose(template_of(term.left), template_of(term.right))
+    """Template of a closed applicative term over the K and S atoms.  A
+    term nested deeper than the interpreter's recursion limit allows
+    raises TemplateError."""
+    try:
+        if isinstance(term, Atom):
+            return base_template(term.name)
+        if isinstance(term, App):
+            return compose(template_of(term.left), template_of(term.right))
+    except RecursionError:
+        raise TemplateError("term nested too deeply") from None
     raise TemplateError("templates are defined for closed K/S terms only")
 
 
@@ -968,8 +951,8 @@ class Matcher:
             elif isinstance(cur, GElem) and cur == v:
                 yield b
             return
-        if isinstance(p, NatPat):
-            if isinstance(v, Nat) and v.value == p.value:
+        if isinstance(p, GElem):
+            if p == v:
                 yield b
             return
         if isinstance(p, ArrowPat):
@@ -988,6 +971,10 @@ class Matcher:
                 b2[p.key] = g
                 yield b2
             elif isinstance(cur, GSet) and cur == g:
+                yield b
+            return
+        if isinstance(p, GSet):
+            if p == g:
                 yield b
             return
         if isinstance(p, SingletonPat):
@@ -1161,24 +1148,20 @@ def _subsets(xs):
 def check_constraints(constraints, b, slack, max_arity=4):
     """All retained equations hold (for some value of any leftover
     existential variables) under concrete bindings b."""
-    for c in constraints:
-        if not _constraint_ok(c, b, slack, max_arity):
-            return False
-    return True
+    return all(_constraint_ok(c, b, slack, max_arity) for c in constraints)
 
 
 class _ConstraintCheck:
     """check_constraints for one template, memoised for one call.
 
-    A retained equation reads from a binding only the values of its own
-    variables: every instance of its element and set variables, and each
-    of its arity variables with its arity chain resolved and its raised
-    lower bound.  So each equation's verdict is cached on exactly those
-    values, and bindings that differ only elsewhere share it.  The
-    equations are still tried in order, so the first False (or raise)
-    is the one check_constraints would give.  An instance is meant to
-    live for one enumeration or one match: it never sees a second
-    template, and it is dropped with the call.
+    A retained equation reads from a concrete binding only the values of
+    its own variables, every instance of each.  So each equation's
+    verdict is cached on exactly those values, and bindings that differ
+    only elsewhere share it.  The equations are still tried in order, so
+    the first False (or raise) is the one check_constraints would give.
+    An instance is meant to live for one enumeration, one match or one
+    staged application: it never sees a second template, and it is
+    dropped with the call.
     """
 
     def __init__(self, constraints, slack, max_arity=4):
@@ -1200,41 +1183,23 @@ class _ConstraintCheck:
 
 
 def _constraint_names(c):
-    """The (kind, name) pairs of the binding entries a constraint can read:
-    instances differ only in their index, and an arity variable's raised
-    lower bound is kept under an "amin" entry of the same name."""
-    acc = {}
-    free_vars(c.left, acc)
-    free_vars(c.right, acc)
-    for _, ar in c.binders:
-        if isinstance(ar, AVar):
-            acc[ar.key] = ar
-    names = {(kind, name) for kind, name, _ in acc}
-    names.update(("amin", name) for kind, name in list(names) if kind == "a")
-    return frozenset(names)
+    """The (kind, name) pairs of the variables a constraint reads; their
+    instances differ only in their index."""
+    keys = [*free_vars(c.left), *free_vars(c.right)]
+    keys += [ar.key for _, ar in c.binders if isinstance(ar, AVar)]
+    return frozenset(key[:2] for key in keys)
 
 
 def _binding_slice(b, names):
-    """The part of binding b that a constraint with these names reads, as
-    a hashable value; arity entries are replaced by their resolution."""
-    out = []
-    for k, v in b.items():
-        if k[:2] in names:
-            if isinstance(v, AVar):
-                v = resolve_arity(v, b)
-                if isinstance(v, AVar):
-                    v = v.key + (v.minimum,)
-            out.append((k, v))
-    return frozenset(out)
+    """The part of concrete binding b that a constraint with these names
+    reads, as a hashable value."""
+    return frozenset((k, v) for k, v in b.items() if k[:2] in names)
 
 
 def _constraint_ok(c, b, slack, max_arity):
     if c.binders:
         (binder, arity), rest = c.binders[0], c.binders[1:]
         a = resolve_arity(arity, b)
-        if isinstance(a, AVar):
-            val = b.get(a.key)
-            a = val if isinstance(val, int) else None
         candidates = [a] if isinstance(a, int) else range(0, max_arity + 1)
         for n in candidates:
             ok = True
@@ -1250,7 +1215,7 @@ def _constraint_ok(c, b, slack, max_arity):
         return False
     left = normalize(_concretize(c.left, b))
     right = normalize(_concretize(c.right, b))
-    gl, gr = ground_set(_concretize(left, b)), ground_set(_concretize(right, b))
+    gl, gr = ground_set(left), ground_set(right)
     if gl is not None and gr is not None:
         return gl == gr
     matcher = Matcher(slack=slack)
@@ -1264,14 +1229,12 @@ def _constraint_ok(c, b, slack, max_arity):
 
 
 def _concretize(p, b):
-    """Replace variables bound to concrete values with literal patterns."""
-    if isinstance(p, EVar):
+    """Put the value that concrete binding b gives each variable in its
+    place, and expand each family whose arity b fixes."""
+    if isinstance(p, (EVar, SVar)):
         v = b.get(p.key)
-        return _value_to_elem_pat(v) if isinstance(v, GElem) else p
-    if isinstance(p, SVar):
-        v = b.get(p.key)
-        return _value_to_set_pat(v) if isinstance(v, GSet) else p
-    if isinstance(p, NatPat):
+        return p if v is None else v
+    if isinstance(p, (GElem, GSet)):
         return p
     if isinstance(p, ArrowPat):
         return ArrowPat(_concretize(p.ante, b), _concretize(p.cons, b))
@@ -1282,10 +1245,6 @@ def _concretize(p, b):
         return ExplicitPat(tuple(_concretize(m, b) for m in p.members))
     if isinstance(p, FamilyPat):
         ar = resolve_arity(p.arity, b)
-        if isinstance(ar, AVar):
-            bound = b.get(ar.key)
-            if isinstance(bound, int):
-                ar = bound
         if isinstance(ar, int):
             insts = tuple(
                 _concretize(reindex(p.body, p.binder, i), b)
@@ -1298,16 +1257,6 @@ def _concretize(p, b):
     if isinstance(p, UnionPat):
         return UnionPat(tuple(_concretize(q, b) for q in p.parts))
     raise TypeError(f"not a pattern: {p!r}")
-
-
-def _value_to_elem_pat(v):
-    if isinstance(v, Nat):
-        return NatPat(v.value)
-    return ArrowPat(_value_to_set_pat(v.ante), _value_to_elem_pat(v.cons))
-
-
-def _value_to_set_pat(g):
-    return ExplicitPat(tuple(_value_to_elem_pat(x) for x in g))
 
 
 def _matches_set(matcher, pattern, value, b):
@@ -1418,9 +1367,9 @@ class _Enumerator:
                 b2[p.key] = v
                 yield v, b2
             return
-        if isinstance(p, NatPat):
-            if p.value <= bounds.max_nat:
-                yield nat(p.value), b
+        if isinstance(p, GElem):
+            if self._fits(p, max_width(p), depth):
+                yield p, b
             return
         if isinstance(p, ArrowPat):
             if depth < 1:
@@ -1447,6 +1396,10 @@ class _Enumerator:
                 b2[p.key] = val
                 yield val, b2
             return
+        if isinstance(p, GSet):
+            if self._fits(p, max((len(p), *map(max_width, p))), depth):
+                yield p, b
+            return
         if isinstance(p, SingletonPat):
             for v, b1 in self.gen_elem(p.var, depth, b):
                 yield gset((v,)), b1
@@ -1456,25 +1409,23 @@ class _Enumerator:
             return
         if isinstance(p, FamilyPat):
             ar = resolve_arity(p.arity, b)
-            if isinstance(ar, AVar):
-                bound = b.get(ar.key)
-                if isinstance(bound, int):
-                    arities = [bound]
-                else:
-                    arities = list(range(_amin(b, ar), bounds.max_arity + 1))
-            else:
-                arities = [ar]
-            for n in arities:
-                b0 = b
-                if isinstance(ar, AVar) and not isinstance(b.get(ar.key), int):
-                    b0 = dict(b)
-                    b0[ar.key] = n
-                yield from self._gen_family(p, n, depth, b0)
+            if isinstance(ar, int):
+                yield from self._gen_family(p, ar, depth, b)
+                return
+            for n in range(_amin(b, ar), bounds.max_arity + 1):
+                yield from self._gen_family(p, n, depth, {**b, ar.key: n})
             return
         if isinstance(p, UnionPat):
             yield from self._gen_union(p.parts, depth, b)
             return
         raise TemplateError(f"cannot enumerate set pattern {type(p).__name__}")
+
+    def _fits(self, v, width, depth):
+        """Does value v, whose widest set has `width` members, lie within
+        the bounds at this depth?"""
+        bounds = self.bounds
+        return (v.rank <= depth and v.max_nat <= bounds.max_nat
+                and width <= bounds.max_set_size)
 
     def _gen_family(self, p, n, depth, b):
         insts = self._instances.get((p, n))
@@ -1570,24 +1521,11 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
     matcher = Matcher(slack=slack)
     cap = max(bounds.max_set_size, bounds.max_arity)
     truncated = False
-
-    cvar_keys = set()
-    for c in t.constraints:
-        cvar_keys.update(free_vars(c.left))
-        cvar_keys.update(free_vars(c.right))
-        for _, ar in c.binders:
-            if isinstance(ar, AVar):
-                cvar_keys.add(ar.key)
+    check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
+    names = frozenset().union(*check.names)
 
     def _state_key(pat, b):
-        extra = tuple(
-            sorted(
-                (k, v._key if isinstance(v, (GElem, GSet)) else v)
-                for k, v in b.items()
-                if k in cvar_keys
-            )
-        )
-        return pat_key(subst(_concretize(pat, b), b)), extra
+        return pat_key(subst(_concretize(pat, b), b)), _binding_slice(b, names)
 
     states = [(t.root, {})]
     for n_set in sets:
@@ -1614,15 +1552,13 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
         pat = subst(_concretize(pat, b), b)
         g = ground_elem(pat)
         if g is not None:
-            if g._key not in seen and \
-                    check_constraints(t.constraints, b, slack, bounds.max_arity):
+            if g._key not in seen and check(b):
                 seen.add(g._key)
                 out.append(g)
             continue
         truncated = True
         for v, b2 in enum.gen_elem(pat, bounds.max_rank, b):
-            if check_constraints(t.constraints, b2, slack, bounds.max_arity) \
-                    and v._key not in seen:
+            if check(b2) and v._key not in seen:
                 seen.add(v._key)
                 out.append(v)
     out.sort()
@@ -1630,55 +1566,28 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
 
 
 def _match_ante(matcher, ante, n_set, b, cap):
-    """Bindings for which the antecedent denotes a subset of n_set."""
+    """Bindings for which the antecedent denotes a subset of n_set.
+
+    An open antecedent is matched against the subsets of n_set, smallest
+    first: a listing against those with at most one element per member,
+    a union against those with at most cap elements plus one per part,
+    any other form against those with at most cap elements.
+    """
     ante = subst(_concretize(ante, b), b)
     g = ground_set(ante)
     if g is not None:
         if g.issubset(n_set):
             yield b
         return
-    if isinstance(ante, ExplicitPat):
-        # each member maps to an element of the argument set
-        def go(idx, bb):
-            if idx == len(ante.members):
-                yield bb
-                return
-            for e in n_set:
-                for b1 in matcher.match_elem(ante.members[idx], e, bb):
-                    yield from go(idx + 1, b1)
-
-        yield from go(0, b)
-        return
-    if isinstance(ante, SingletonPat):
-        for e in n_set:
-            yield from matcher.match_elem(ante.var, e, b)
-        return
-    if isinstance(ante, SVar):
-        cur = b.get(ante.key)
-        if cur is not None:
-            if cur.issubset(n_set):
-                yield b
-            return
-        for k in range(0, min(cap, len(n_set)) + 1):
-            for combo in itertools.combinations(list(n_set), k):
-                b2 = dict(b)
-                b2[ante.key] = gset(combo)
-                yield b2
-        return
-    if isinstance(ante, FamilyPat):
-        limit = min(cap, len(n_set))
-        for k in range(0, limit + 1):
-            for combo in itertools.combinations(list(n_set), k):
-                yield from matcher.match_set(ante, gset(combo), b)
-        return
-    if isinstance(ante, UnionPat):
-        # match the union against candidate subsets of the argument set
-        limit = min(cap + len(ante.parts), len(n_set))
-        for k in range(0, limit + 1):
-            for combo in itertools.combinations(list(n_set), k):
-                yield from matcher.match_set(ante, gset(combo), b)
-        return
-    raise UnsupportedMatch(f"antecedent form {type(ante).__name__}")
+    if isinstance(ante, (SingletonPat, ExplicitPat)):
+        size = len(_parts(ante))
+    elif isinstance(ante, UnionPat):
+        size = cap + len(ante.parts)
+    else:
+        size = cap
+    for k in range(min(size, len(n_set)) + 1):
+        for combo in itertools.combinations(n_set, k):
+            yield from matcher.match_set(ante, gset(combo), b)
 
 
 # ---------------------------------------------------------------------------
@@ -1689,32 +1598,8 @@ def has_singleton_setvar(t: Template) -> bool:
     """Does any antecedent position consist of a lone variable singleton?"""
     if t.is_empty:
         return False
-
-    found = False
-
-    def walk(p):
-        nonlocal found
-        if found:
-            return
-        if isinstance(p, ArrowPat):
-            walk(p.ante)
-            walk(p.cons)
-        elif isinstance(p, SingletonPat):
-            found = True
-        elif isinstance(p, ExplicitPat):
-            for m in p.members:
-                walk(m)
-        elif isinstance(p, FamilyPat):
-            walk(p.body)
-        elif isinstance(p, UnionPat):
-            for q in p.parts:
-                walk(q)
-
-    walk(t.root)
-    for c in t.constraints:
-        walk(c.left)
-        walk(c.right)
-    return found
+    sides = [t.root] + [p for c in t.constraints for p in (c.left, c.right)]
+    return any(isinstance(q, SingletonPat) for p in sides for q, _ in _nodes(p))
 
 
 # ---------------------------------------------------------------------------
@@ -1724,14 +1609,14 @@ def has_singleton_setvar(t: Template) -> bool:
 def pretty(p) -> str:
     if isinstance(p, _Var):
         return _var_text(p.name, p.index)
-    if isinstance(p, NatPat):
+    if isinstance(p, Nat):
         return str(p.value)
-    if isinstance(p, ArrowPat):
+    if isinstance(p, (ArrowPat, Arrow)):
         return f"({pretty(p.ante)} -> {pretty(p.cons)})"
     if isinstance(p, SingletonPat):
         return "{" + pretty(p.var) + "}"
-    if isinstance(p, ExplicitPat):
-        return "{" + ", ".join(pretty(m) for m in p.members) + "}"
+    if isinstance(p, (ExplicitPat, GSet)):
+        return "{" + ", ".join(pretty(m) for m in _listing(p)) + "}"
     if isinstance(p, FamilyPat):
         ar = str(p.arity) if isinstance(p.arity, int) else pretty(p.arity)
         if isinstance(p.body, ELEM_PATS):
@@ -1764,8 +1649,6 @@ def _var_text(name, index):
 def pattern_to_json(p):
     if isinstance(p, EVar):
         return {"evar": {"name": p.name, "index": list(p.index)}}
-    if isinstance(p, NatPat):
-        return {"nat": p.value}
     if isinstance(p, ArrowPat):
         return {"tarrow": {"ante": pattern_to_json(p.ante),
                            "cons": pattern_to_json(p.cons)}}
@@ -1776,16 +1659,17 @@ def pattern_to_json(p):
     if isinstance(p, ExplicitPat):
         return {"explicit": [pattern_to_json(m) for m in p.members]}
     if isinstance(p, FamilyPat):
-        if isinstance(p.arity, int):
-            ar = p.arity
-        else:
-            ar = {"name": p.arity.name, "index": list(p.arity.index),
-                  "min": p.arity.minimum}
-        return {"family": {"arity": ar, "index": p.binder,
+        return {"family": {"arity": _arity_to_json(p.arity), "index": p.binder,
                            "body": pattern_to_json(p.body)}}
     if isinstance(p, UnionPat):
         return {"union": [pattern_to_json(q) for q in p.parts]}
     raise TypeError(f"not a pattern: {p!r}")
+
+
+def _arity_to_json(ar):
+    if isinstance(ar, int):
+        return ar
+    return {"name": ar.name, "index": list(ar.index), "min": ar.minimum}
 
 
 def template_to_json(t: Template):
@@ -1795,12 +1679,8 @@ def template_to_json(t: Template):
         "root": pattern_to_json(t.root),
         "constraints": [
             {
-                "binders": [
-                    {"index": bn,
-                     "arity": ar if isinstance(ar, int) else
-                     {"name": ar.name, "index": list(ar.index), "min": ar.minimum}}
-                    for bn, ar in c.binders
-                ],
+                "binders": [{"index": bn, "arity": _arity_to_json(ar)}
+                            for bn, ar in c.binders],
                 "left": pattern_to_json(c.left),
                 "right": pattern_to_json(c.right),
             }

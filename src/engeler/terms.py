@@ -456,9 +456,6 @@ def stdlib_lookup(name: str) -> Term:
     return parse_term(src)
 
 
-_EXPANSIONS = {"B": "B", "I": "I", "L": "L", "M": "M"}
-
-
 def expand_stdlib(t: Term) -> Term:
     """Replace B, I, L, M atoms by their K/S definitions.  J has no such
     definition here and is rejected."""

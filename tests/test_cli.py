@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, text and JSON output, config."""
 
+import inspect
 import json
 import shutil
 import subprocess
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 from engeler import cli
+from engeler.companion import sweep_closure
+from engeler.model import EvalResult, gset, nat
 
 
 def run(capsys, *argv):
@@ -48,9 +51,10 @@ def test_reduce_normal_form(capsys):
 
 
 def test_reduce_trace(capsys):
-    code, out, _ = run(capsys, "reduce", "SKKx", "--trace")
-    assert code == 0
-    assert len(out.strip().splitlines()) >= 3
+    for extra in ((), ("--json",)):
+        code, out, _ = run(capsys, "reduce", "SKKx", "--trace", *extra)
+        assert code == 0
+        assert len(out.strip().splitlines()) >= 3
 
 
 def test_reduce_cycle_is_bounded_outcome(capsys):
@@ -207,14 +211,18 @@ def test_apply_non_element_json_is_parse_error(capsys, tmp_path):
 
 
 def test_companion_case_ii(capsys):
-    code, out, _ = run(
-        capsys, "companion", "S", "({({0} -> ({} -> 0))} -> ({} -> ({0} -> 0)))",
-        "--json",
-    )
+    element = "({({0} -> ({} -> 0))} -> ({} -> ({0} -> 0)))"
+    code, out, _ = run(capsys, "companion", "S", element, "--json")
     assert code == 0
     rec = json.loads(out)
     assert rec["case"] == "ii"
     assert rec["member"] is True
+    code, out, _ = run(capsys, "companion", "S", element)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "sigma: S"
+    assert "case: ii" in lines
+    assert "member: True" in lines
 
 
 def test_companion_rejects_non_member(capsys):
@@ -239,6 +247,36 @@ def test_closure_sweep_reports_unsupported_terms(capsys, monkeypatch):
     assert code == 0
     assert "[?? ] S(S(SS))S  unsupported: " in out
     assert "unsupported=1" in out
+
+
+@pytest.mark.parametrize(
+    "extra, config, settings",
+    [
+        ((), "", {}),
+        (("--max-set-size", "2"), "", {"set_width": 2}),
+        (("--budget", "7", "--max-rank", "4"), "", {"budget": 7, "max_rank": 4}),
+        ((), "max_set_size = 2\nbudget = 9\n", {"set_width": 2, "budget": 9}),
+    ],
+)
+def test_closure_sweep_defaults(capsys, monkeypatch, tmp_path, extra, config, settings):
+    # closure-sweep runs at sweep_closure's own defaults unless a flag or a
+    # config value says otherwise
+    seen = {}
+
+    def fake_sweep(**kwargs):
+        seen.update(kwargs)
+        return [], {"terms": 0, "elements": 0, "closed": 0, "violated": 0,
+                    "no_case": 0, "rank_reached": {}, "unsupported": {}}
+
+    monkeypatch.setattr(cli, "sweep_closure", fake_sweep)
+    if config:
+        (tmp_path / "engeler.conf").write_text(config)
+        extra += ("--config", str(tmp_path / "engeler.conf"))
+    run(capsys, "closure-sweep", *extra)
+    own = {name: param.default
+           for name, param in inspect.signature(sweep_closure).parameters.items()
+           if name != "progress"}
+    assert seen == own | settings
 
 
 def test_search_identity(capsys):
@@ -274,6 +312,25 @@ def test_verify_paper_full_suite(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
     assert out.splitlines()[-1].startswith("verdict: pass (12 cases")
+
+
+@pytest.mark.parametrize(
+    "case, truncated, detail",
+    [
+        ("k-law", False, "trial 0: K applied to {({1} -> 1)}, {({} -> 1)} gave {7}"),
+        ("s-law", False,
+         "trial 0: composition law broke on {({0} -> 0)}, {1,({0} -> 1)}, {0}"),
+        ("s-law", True, "trial 0: truncated"),
+    ],
+)
+def test_law_checker_reports_the_failed_trial(capsys, monkeypatch, case, truncated,
+                                              detail):
+    monkeypatch.setattr(cli, "eval_setexpr",
+                        lambda expr, bounds: EvalResult(gset([nat(7)]), truncated))
+    code, out, _ = run(capsys, "verify-paper", "--case", case, "--json")
+    assert code == 4
+    rec = json.loads(out.splitlines()[0])["case"]
+    assert (rec["id"], rec["ok"], rec["detail"]) == (case, False, detail)
 
 
 def test_golden_checker_reports_the_failed_check():

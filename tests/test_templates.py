@@ -6,11 +6,12 @@ suffixes are allocation-order dependent; the canonical form is stable.
 
 import itertools
 import json
+import sys
 
 import pytest
 
 from engeler.companion import b0_base, closure_report
-from engeler.model import Bounds, enumerate_g, gset, nat, parse_gelem, rank
+from engeler.model import Bounds, GElem, enumerate_g, gset, nat, parse_gelem, rank
 from engeler.templates import (
     AVar,
     ArrowPat,
@@ -21,7 +22,6 @@ from engeler.templates import (
     EVar,
     ExplicitPat,
     FamilyPat,
-    NatPat,
     SVar,
     SingletonPat,
     TemplateError,
@@ -47,6 +47,7 @@ from engeler.templates import (
     template_to_text,
 )
 from engeler.terms import (
+    App,
     enumerate_s_terms,
     enumerate_terms,
     expand_stdlib,
@@ -92,6 +93,21 @@ def test_template_of_input_validation():
         template_of(parse_term("x"))
     with pytest.raises(TemplateError):
         template_of(parse_term("SKx"))
+
+
+def test_template_of_deep_term_is_a_template_error():
+    # a right comb nested deeper than the recursion limit allows, also
+    # where the interpreter counts only Python frames (3.12 and later)
+    term = parse_term("S")
+    for _ in range(200):
+        term = App(parse_term("S"), term)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        with pytest.raises(TemplateError, match="^term nested too deeply$"):
+            template_of(term)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +180,7 @@ def _free_binder_leaks(t):
         elif isinstance(p, UnionPat):
             for q in p.parts:
                 pat_components(q, bound, leaks)
-        elif not isinstance(p, NatPat):
+        elif not isinstance(p, GElem):
             raise TypeError(p)
 
     leaks = []
@@ -363,6 +379,30 @@ def test_known_closure_violation_still_found():
     assert any(r["member"] is False for r in reports)
 
 
+def test_values_are_ground_patterns():
+    # a concrete element or set in a pattern prints, normalizes, matches
+    # and enumerates as the literal pattern spelling it out would
+    pair, e = gset([nat(0), nat(1)]), parse_gelem("({0} -> 1)")
+    assert (pretty(pair), pretty(e)) == ("{0, 1}", "({0} -> 1)")
+    matcher = Matcher()
+    assert list(matcher.match_elem(e, e, {})) == [{}]
+    assert list(matcher.match_elem(e, parse_gelem("({0} -> 0)"), {})) == []
+    assert list(matcher.match_set(pair, pair, {})) == [{}]
+    assert list(matcher.match_set(pair, gset([nat(0)]), {})) == []
+    union = UnionPat((SVar("f"), pair, ExplicitPat((EVar("x"), nat(0)))))
+    assert pretty(normalize(union)) == "{0, 1, x} + f"
+    family = FamilyPat(AVar("n", minimum=1), "i", gset([e]))
+    assert pretty(normalize(family)) == "{({0} -> 1)}"
+    enum = _Enumerator(Bounds(2, 1, 0))
+    e0 = parse_gelem("({0} -> 0)")
+    assert [v for v, _ in enum.gen_elem(e0, 2, {})] == [e0]
+    assert list(enum.gen_elem(e0, 0, {})) == []  # rank 1 at depth 0
+    assert list(enum.gen_elem(e, 2, {})) == []  # the natural 1
+    assert list(enum.gen_set(gset([e0]), 1, {})) == [(gset([e0]), {})]
+    assert list(enum.gen_set(gset([nat(0), e0]), 2, {})) == []  # two members
+    assert list(enum.gen_elem(parse_gelem("({0,({} -> 0)} -> 0)"), 2, {})) == []
+
+
 # ---------------------------------------------------------------------------
 # the empty template
 
@@ -457,7 +497,7 @@ def test_rename_vars_renames_binders_and_string_components_only():
 
 def test_index_append_reaches_arity_variables():
     p = ExplicitPat((ArrowPat(FamilyPat(AVar("n", minimum=2), "i", SVar("f", ("i",))),
-                              NatPat(0)),))
+                              nat(0)),))
     fam = index_append(p, "j").members[0].ante
     assert (fam.arity.key, fam.arity.minimum) == (("a", "n", ("j",)), 2)
     assert fam.binder == "i"
