@@ -852,11 +852,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     # The one map from exceptions to exit codes; the first match wins.
     # ParseError, ElementSyntaxError, JSONDecodeError and ConfigError are
-    # ValueErrors, and BudgetExceeded is a TemplateError.
+    # ValueErrors, and BudgetExceeded is a TemplateError.  A RecursionError
+    # is input nested deeper than some recursive step allows, such as the
+    # JSON encoder writing out a deep element.
     try:
         return args.fn(args, Emitter(args.json), effective_settings(args))
     except (ParseError, ElementSyntaxError, json.JSONDecodeError, ConfigError,
-            KeyError, OSError) as exc:
+            KeyError, OSError, RecursionError) as exc:
         print(f"engeler: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:

@@ -18,6 +18,7 @@ template machinery so the two routes can be checked against each other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,9 +42,6 @@ class GElem:
 
     def __lt__(self, other):
         return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
 
     def __repr__(self):
         return gelem_to_text(self)
@@ -99,9 +97,6 @@ class GSet:
         if not isinstance(other, GSet):
             return NotImplemented
         return self._hash == other._hash and self._key == other._key
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __iter__(self):
         return iter(self.elems)
@@ -189,14 +184,16 @@ def max_nat(e: GElem) -> int:
 
 
 def max_width(e: GElem) -> int:
-    """Size of the largest antecedent set anywhere inside e (0 if none)."""
-    if isinstance(e, Arrow):
-        return max(
-            len(e.ante),
-            max((max_width(x) for x in e.ante), default=0),
-            max_width(e.cons),
-        )
-    return 0
+    """Size of the largest antecedent set anywhere inside e (0 if none).
+    The walk keeps its own stack, so any nesting depth is fine."""
+    width, stack = 0, [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Arrow):
+            width = max(width, len(x.ante))
+            stack.extend(x.ante)
+            stack.append(x.cons)
+    return width
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +290,28 @@ def universe(max_rank: int, max_set_size: int, max_nat: int) -> tuple:
     return tuple(enumerate_g(max_rank, max_set_size, max_nat))
 
 
-def count_g(max_rank: int, max_set_size: int, max_nat: int) -> int:
+def count_g(max_rank: int, max_set_size: int, max_nat: int, limit=None) -> int:
     """Count of enumerate_g without materializing it.
 
     Every element within rank r is a natural or an arrow whose pieces lie
     within rank r-1, so pool sizes satisfy
     p_0 = max_nat+1 and p_k = p_0 + subsets(p_{k-1}) * p_{k-1}.
+
+    The count grows doubly exponentially with the rank.  Given a limit, it
+    stops as soon as it passes the limit and returns limit + 1.
     """
-    import math
-
-    def subsets(n):
-        return sum(math.comb(n, k) for k in range(min(max_set_size, n) + 1))
-
-    p = max_nat + 1
+    over = math.inf if limit is None else limit
+    p0 = p = max_nat + 1
     for _ in range(max_rank):
-        p = (max_nat + 1) + subsets(p) * p
-    return p
+        if p > over:
+            break
+        subsets = 0
+        for k in range(min(max_set_size, p) + 1):
+            subsets += math.comb(p, k)
+            if p0 + subsets * p > over:
+                break
+        p = p0 + subsets * p
+    return p if p <= over else limit + 1
 
 
 def random_gelem(rng, max_rank: int, max_set_size: int, max_nat: int) -> GElem:
@@ -485,9 +488,6 @@ class Bounds:
 class EvalResult:
     elements: GSet
     truncated: bool
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 def extensional_bullet(m: GSet, fn_arg: GSet) -> GSet:

@@ -9,8 +9,7 @@ enumeration are decided by structural matching against the pattern.
 Pattern inventory
 -----------------
 element patterns   EVar, ArrowPat, a concrete element (GElem)
-set patterns       SVar, SingletonPat, ExplicitPat, FamilyPat, UnionPat,
-                   a concrete set (GSet)
+set patterns       SVar, ExplicitPat, FamilyPat, UnionPat, a concrete set (GSet)
 arity              AVar (with a lower bound), or a concrete int
 
 A concrete element or set is a ground pattern that matches only itself:
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import (
-    EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, gset, max_width, universe,
+    EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, count_g, gset, max_width, universe,
 )
 from .terms import App, Atom, Term
 
@@ -105,20 +104,6 @@ class SVar(_Var):
     kind = "s"
 
 
-class SingletonPat:
-    """A one-element set whose sole member is a bare element variable.
-
-    Kept distinct from a one-member ExplicitPat: the closure predicate
-    over S-only terms asks specifically whether such a variable singleton
-    ever appears as an antecedent.
-    """
-
-    __slots__ = ("var",)
-
-    def __init__(self, var):
-        self.var = var
-
-
 class ExplicitPat:
     __slots__ = ("members",)
 
@@ -158,7 +143,7 @@ class UnionPat:
 
 
 ELEM_PATS = (EVar, ArrowPat, GElem)
-SET_PATS = (SVar, SingletonPat, ExplicitPat, FamilyPat, UnionPat, GSet)
+SET_PATS = (SVar, ExplicitPat, FamilyPat, UnionPat, GSet)
 
 
 @dataclass(frozen=True)
@@ -203,8 +188,6 @@ def pat_key(p):
         return ("n", p.value)
     if isinstance(p, (ArrowPat, Arrow)):
         return ("ar", pat_key(p.ante), pat_key(p.cons))
-    if isinstance(p, SingletonPat):
-        return ("sg", pat_key(p.var))
     if isinstance(p, (ExplicitPat, GSet)):
         return ("ex", tuple(pat_key(m) for m in _listing(p)))
     if isinstance(p, FamilyPat):
@@ -231,8 +214,6 @@ def _parts(p):
     variable or a value has none."""
     if isinstance(p, ArrowPat):
         return (p.ante, p.cons)
-    if isinstance(p, SingletonPat):
-        return (p.var,)
     if isinstance(p, ExplicitPat):
         return p.members
     if isinstance(p, UnionPat):
@@ -285,8 +266,6 @@ def _map_vars(p, var_fn, binder_fn=None, shadow=None):
         return FamilyPat(ar, binder, _map_vars(p.body, var_fn, binder_fn, shadow))
     if isinstance(p, (GElem, GSet)):
         return p
-    if isinstance(p, SingletonPat):
-        return SingletonPat(_map_vars(p.var, var_fn, binder_fn, shadow))
     if isinstance(p, ExplicitPat):
         return ExplicitPat(tuple(_map_vars(m, var_fn, binder_fn, shadow)
                                  for m in p.members))
@@ -397,11 +376,6 @@ def subst(p, b):
         return p
     if isinstance(p, ArrowPat):
         return ArrowPat(subst(p.ante, b), subst(p.cons, b))
-    if isinstance(p, SingletonPat):
-        inner = subst(p.var, b)
-        if isinstance(inner, EVar):
-            return SingletonPat(inner)
-        return ExplicitPat((inner,))
     if isinstance(p, ExplicitPat):
         return ExplicitPat(tuple(subst(m, b) for m in p.members))
     if isinstance(p, FamilyPat):
@@ -422,8 +396,6 @@ def normalize(p):
         return p
     if isinstance(p, ArrowPat):
         return ArrowPat(normalize(p.ante), normalize(p.cons))
-    if isinstance(p, SingletonPat):
-        return p
     if isinstance(p, ExplicitPat):
         seen, out = set(), []
         for m in p.members:
@@ -436,7 +408,7 @@ def normalize(p):
     if isinstance(p, FamilyPat):
         body = normalize(p.body)
         # a union-of-singletons family is just a listing family
-        members = [body.var] if isinstance(body, SingletonPat) else _listing(body)
+        members = _listing(body)
         if members is not None and len(members) == 1:
             body = members[0]
         ar = p.arity
@@ -530,7 +502,7 @@ def base_template(name):
         if name == "K":
             tvar = EVar("t")
             t = Template(
-                ArrowPat(SingletonPat(tvar), ArrowPat(ExplicitPat(()), tvar))
+                ArrowPat(ExplicitPat((tvar,)), ArrowPat(ExplicitPat(()), tvar))
             )
         elif name == "S":
             n = AVar("n")
@@ -625,17 +597,15 @@ def unify_elem(p, q, b, defer):
     raise UnsupportedUnification(f"elem unify: {pretty(p)} vs {pretty(q)}")
 
 
-def _unify_singletonish(var_or_member, other, b, defer):
-    """Unify a known one-element set against another set pattern."""
-    m = var_or_member
-    if isinstance(other, (SingletonPat, ExplicitPat)):
-        members = [other.var] if isinstance(other, SingletonPat) else list(other.members)
-        if not members:
+def _unify_singletonish(m, other, b, defer):
+    """Unify the one-element set {m} against another set pattern."""
+    if isinstance(other, ExplicitPat):
+        if not other.members:
             raise _Clash
-        for o in members:
+        for o in other.members:
             unify_elem(m, o, b, defer)
         return
-    as_set = SingletonPat(m) if isinstance(m, EVar) else ExplicitPat((m,))
+    as_set = ExplicitPat((m,))
     if isinstance(other, FamilyPat):
         if not isinstance(other.body, ELEM_PATS):
             # {m} as a union of families constrains the parts jointly
@@ -696,30 +666,23 @@ def unify_set(p, q, b, defer):
         _bind(b, q, p)
         return
     pk, qk = type(p), type(q)
-    if pk is SingletonPat:
-        _unify_singletonish(p.var, q, b, defer)
+    if pk is ExplicitPat and len(p.members) == 1:
+        _unify_singletonish(p.members[0], q, b, defer)
         return
-    if qk is SingletonPat:
-        _unify_singletonish(q.var, p, b, defer)
+    if qk is ExplicitPat and len(q.members) == 1:
+        _unify_singletonish(q.members[0], p, b, defer)
         return
     if pk is ExplicitPat and qk is ExplicitPat:
-        np_, nq = len(p.members), len(q.members)
-        if np_ == 0 or nq == 0:
-            if np_ != nq:
-                raise _Clash
-            return
-        if np_ == 1:
-            _unify_singletonish(p.members[0], q, b, defer)
-            return
-        if nq == 1:
-            _unify_singletonish(q.members[0], p, b, defer)
-            return
-        raise UnsupportedUnification("explicit listings of size >= 2 on both sides")
+        if p.members and q.members:
+            raise UnsupportedUnification("explicit listings of size >= 2 on both sides")
+        if p.members or q.members:
+            raise _Clash
+        return
     if pk is ExplicitPat and qk is FamilyPat:
-        _unify_explicit_family(p, q, b, defer)
+        _unify_explicit_family(p, q, b)
         return
     if pk is FamilyPat and qk is ExplicitPat:
-        _unify_explicit_family(q, p, b, defer)
+        _unify_explicit_family(q, p, b)
         return
     if pk is FamilyPat and qk is FamilyPat:
         if isinstance(p.body, ELEM_PATS) != isinstance(q.body, ELEM_PATS):
@@ -760,22 +723,18 @@ def unify_set(p, q, b, defer):
     defer.append(Constraint((), p, q))
 
 
-def _unify_explicit_family(e, fam, b, defer):
-    k = len(e.members)
+def _unify_explicit_family(e, fam, b):
+    """A listing of no members or of two or more against a family."""
+    if e.members:
+        raise UnsupportedUnification("explicit listing of size >= 2 vs family")
     ar = resolve_arity(fam.arity, b)
-    if k == 0:
-        if isinstance(ar, int):
-            if ar != 0:
-                raise _Clash
-        else:
-            if _amin(b, ar) > 0:
-                raise _Clash
-            b[ar.key] = 0
-        return
-    if k == 1:
-        _unify_singletonish(e.members[0], fam, b, defer)
-        return
-    raise UnsupportedUnification("explicit listing of size >= 2 vs family")
+    if isinstance(ar, int):
+        if ar != 0:
+            raise _Clash
+    else:
+        if _amin(b, ar) > 0:
+            raise _Clash
+        b[ar.key] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +817,6 @@ def compose(t1: Template, t2: Template) -> Template:
             for m in ante.members:
                 consume_member(m, prefix)
             return
-        if isinstance(ante, SingletonPat):
-            consume_member(ante.var, prefix)
-            return
         if isinstance(ante, SVar):
             binder = f"i{next(_fresh_counter)}"
             arity = AVar(f"n{next(_fresh_counter)}",
@@ -869,16 +825,13 @@ def compose(t1: Template, t2: Template) -> Template:
             _bind(b, ante, FamilyPat(arity, binder, body))
             return
         if isinstance(ante, FamilyPat):
-            body = ante.body
-            if isinstance(body, SingletonPat):
-                body = body.var
             sub = prefix + ((ante.binder, resolve_arity(ante.arity, b)),)
-            if isinstance(body, ELEM_PATS):
-                consume_member(body, sub)
+            if isinstance(ante.body, ELEM_PATS):
+                consume_member(ante.body, sub)
             else:
                 # a union-family: the antecedent is the union over the
                 # binder of the instance sets
-                consume(body, sub)
+                consume(ante.body, sub)
             return
         if isinstance(ante, UnionPat):
             for part in ante.parts:
@@ -976,10 +929,6 @@ class Matcher:
         if isinstance(p, GSet):
             if p == g:
                 yield b
-            return
-        if isinstance(p, SingletonPat):
-            if len(g) == 1:
-                yield from self.match_elem(p.var, g[0], b)
             return
         if isinstance(p, ExplicitPat):
             yield from self._match_listing(p.members, g, b)
@@ -1238,9 +1187,6 @@ def _concretize(p, b):
         return p
     if isinstance(p, ArrowPat):
         return ArrowPat(_concretize(p.ante, b), _concretize(p.cons, b))
-    if isinstance(p, SingletonPat):
-        inner = _concretize(p.var, b)
-        return SingletonPat(inner) if isinstance(inner, EVar) else ExplicitPat((inner,))
     if isinstance(p, ExplicitPat):
         return ExplicitPat(tuple(_concretize(m, b) for m in p.members))
     if isinstance(p, FamilyPat):
@@ -1344,6 +1290,7 @@ class _Enumerator:
         self.budget = budget
         self.steps = 0
         self._instances = {}  # (family, arity) -> its instance patterns
+        self._sized = set()  # pool ranks already checked against the budget
 
     def _tick(self):
         self.steps += 1
@@ -1351,6 +1298,21 @@ class _Enumerator:
             raise BudgetExceeded(
                 f"template enumeration exceeded {self.budget} steps"
             )
+
+    def _pool_rank(self, depth):
+        """The rank of the pool that a variable at this depth ranges over.
+        A pool larger than the budget runs out of budget unbuilt."""
+        rank = min(depth, self.bounds.max_rank)
+        if rank not in self._sized:
+            bounds = self.bounds
+            if count_g(rank, bounds.max_set_size, bounds.max_nat,
+                       limit=self.budget) > self.budget:
+                raise BudgetExceeded(
+                    f"template enumeration exceeded {self.budget} steps: the "
+                    f"rank-{rank} pool has more than {self.budget} elements"
+                )
+            self._sized.add(rank)
+        return rank
 
     def gen_elem(self, p, depth, b):
         self._tick()
@@ -1361,7 +1323,7 @@ class _Enumerator:
                 if cur.rank <= depth:
                     yield cur, b
                 return
-            for v in universe(min(depth, bounds.max_rank), bounds.max_set_size,
+            for v in universe(self._pool_rank(depth), bounds.max_set_size,
                               bounds.max_nat):
                 b2 = dict(b)
                 b2[p.key] = v
@@ -1389,7 +1351,7 @@ class _Enumerator:
                 if all(x.rank <= depth for x in cur):
                     yield cur, b
                 return
-            for val in _pool_subsets(min(depth, bounds.max_rank),
+            for val in _pool_subsets(self._pool_rank(depth),
                                      bounds.max_set_size, bounds.max_nat):
                 self._tick()
                 b2 = dict(b)
@@ -1399,10 +1361,6 @@ class _Enumerator:
         if isinstance(p, GSet):
             if self._fits(p, max((len(p), *map(max_width, p))), depth):
                 yield p, b
-            return
-        if isinstance(p, SingletonPat):
-            for v, b1 in self.gen_elem(p.var, depth, b):
-                yield gset((v,)), b1
             return
         if isinstance(p, ExplicitPat):
             yield from self._gen_union(p.members, depth, b)
@@ -1432,8 +1390,7 @@ class _Enumerator:
         if insts is None:
             insts = self._instances[p, n] = []
             for i in range(1, n + 1):
-                inst = reindex(p.body, p.binder, i)
-                insts.append(inst.var if isinstance(inst, SingletonPat) else inst)
+                insts.append(reindex(p.body, p.binder, i))
         yield from self._gen_union(insts, depth, b)
 
     def _gen_union(self, parts, depth, b):
@@ -1476,7 +1433,9 @@ def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
 
     `budget` caps the enumerator's steps (one per pattern node visited
     and one per set tried for a set variable); a run that needs more
-    raises BudgetExceeded.  A branch is cut as soon as a partial set has
+    raises BudgetExceeded.  So does a variable whose pool of elements is
+    larger than the budget: the pool's size is counted, up to the budget,
+    before any of it is built.  A branch is cut as soon as a partial set has
     more than max_set_size distinct members, and steps count only the
     work actually done, so the cut branches cost no budget.  Each
     retained constraint's verdict is memoised for the life of one call,
@@ -1524,24 +1483,21 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
     names = frozenset().union(*check.names)
 
-    def _state_key(pat, b):
-        return pat_key(subst(_concretize(pat, b), b)), _binding_slice(b, names)
-
-    states = [(t.root, {})]
+    # a state's pattern is concretized once, under the state's binding
+    states = [(_concretize(t.root, {}), {})]
     for n_set in sets:
         nxt = []
         for pat, b in states:
-            pat = subst(_concretize(pat, b), b)
             if isinstance(pat, EVar):
                 return [], True  # unconstrained head: nothing exact to say
             if not isinstance(pat, ArrowPat):
                 continue  # naturals never apply
             for b1 in _match_ante(matcher, pat.ante, n_set, b, cap):
-                nxt.append((pat.cons, b1))
+                nxt.append((_concretize(pat.cons, b1), b1))
         seen = set()
         states = []
         for pat, b in nxt:
-            key = _state_key(pat, b)
+            key = pat_key(pat), _binding_slice(b, names)
             if key not in seen:
                 seen.add(key)
                 states.append((pat, b))
@@ -1549,7 +1505,6 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
     seen = set()
     enum = _Enumerator(bounds)
     for pat, b in states:
-        pat = subst(_concretize(pat, b), b)
         g = ground_elem(pat)
         if g is not None:
             if g._key not in seen and check(b):
@@ -1566,21 +1521,21 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
 
 
 def _match_ante(matcher, ante, n_set, b, cap):
-    """Bindings for which the antecedent denotes a subset of n_set.
+    """Bindings for which the antecedent, concretized under b, denotes a
+    subset of n_set.
 
     An open antecedent is matched against the subsets of n_set, smallest
     first: a listing against those with at most one element per member,
     a union against those with at most cap elements plus one per part,
     any other form against those with at most cap elements.
     """
-    ante = subst(_concretize(ante, b), b)
     g = ground_set(ante)
     if g is not None:
         if g.issubset(n_set):
             yield b
         return
-    if isinstance(ante, (SingletonPat, ExplicitPat)):
-        size = len(_parts(ante))
+    if isinstance(ante, ExplicitPat):
+        size = len(ante.members)
     elif isinstance(ante, UnionPat):
         size = cap + len(ante.parts)
     else:
@@ -1595,11 +1550,14 @@ def _match_ante(matcher, ante, n_set, b, cap):
 
 
 def has_singleton_setvar(t: Template) -> bool:
-    """Does any antecedent position consist of a lone variable singleton?"""
+    """Does the template hold a variable singleton {t} anywhere, such as
+    K's antecedent: a listing whose only member is an element variable?"""
     if t.is_empty:
         return False
     sides = [t.root] + [p for c in t.constraints for p in (c.left, c.right)]
-    return any(isinstance(q, SingletonPat) for p in sides for q, _ in _nodes(p))
+    return any(isinstance(q, ExplicitPat) and len(q.members) == 1
+               and isinstance(q.members[0], EVar)
+               for p in sides for q, _ in _nodes(p))
 
 
 # ---------------------------------------------------------------------------
@@ -1613,8 +1571,6 @@ def pretty(p) -> str:
         return str(p.value)
     if isinstance(p, (ArrowPat, Arrow)):
         return f"({pretty(p.ante)} -> {pretty(p.cons)})"
-    if isinstance(p, SingletonPat):
-        return "{" + pretty(p.var) + "}"
     if isinstance(p, (ExplicitPat, GSet)):
         return "{" + ", ".join(pretty(m) for m in _listing(p)) + "}"
     if isinstance(p, FamilyPat):
@@ -1654,8 +1610,6 @@ def pattern_to_json(p):
                            "cons": pattern_to_json(p.cons)}}
     if isinstance(p, SVar):
         return {"svar": {"name": p.name, "index": list(p.index)}}
-    if isinstance(p, SingletonPat):
-        return {"singleton": pattern_to_json(p.var)}
     if isinstance(p, ExplicitPat):
         return {"explicit": [pattern_to_json(m) for m in p.members]}
     if isinstance(p, FamilyPat):

@@ -381,6 +381,17 @@ def test_negative_config_value(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # the exit-code contract: every misuse is one line on stderr, never a traceback
 
+# an element nested 400 deep, each level in an antecedent
+DEEP_ANTE = "({" * 400 + "0" + "} -> 0)" * 400
+
+
+@pytest.mark.parametrize("element, answer", [
+    (DEEP_ANTE, "false"),
+    (f"({{{DEEP_ANTE}}} -> ({{}} -> {DEEP_ANTE}))", "true"),
+], ids=["deep-antecedent", "deep-member-of-k"])
+def test_member_of_a_deep_element(capsys, element, answer):
+    assert run(capsys, "member", "K", element) == (0, answer + "\n", "")
+
 
 @pytest.mark.parametrize(
     "argv, code, prefix",
@@ -414,6 +425,19 @@ def test_negative_config_value(capsys, tmp_path):
          "engeler: [Errno 2] No such file or directory"),
         (("enumerate", "SS", "--budget", "100"), 2,
          "enumerate: template enumeration exceeded 100 steps"),
+        # a pool larger than the budget is found before it is built
+        (("enumerate", "S", "--max-rank", "5", "--budget", "1000"), 2,
+         "enumerate: template enumeration exceeded 1000 steps: the rank-3 pool"),
+        (("enumerate", "SKK", "--max-rank", "4", "--budget", "1000"), 2,
+         "enumerate: template enumeration exceeded 1000 steps: the rank-3 pool"),
+        (("enumerate", "K", "--max-nat", "100000", "--budget", "1000"), 2,
+         "enumerate: template enumeration exceeded 1000 steps: the rank-2 pool"),
+        # the JSON encoder's own recursion limit, which Python 3.12 and later
+        # keep apart from the interpreter's and set higher
+        pytest.param(("member", "K", DEEP_ANTE, "--json"), 1,
+                     "engeler: maximum recursion depth exceeded",
+                     marks=pytest.mark.skipif(sys.version_info >= (3, 12),
+                                              reason="the element is written out")),
     ],
 )
 def test_exit_code_contract(capsys, argv, code, prefix):

@@ -27,6 +27,7 @@ from engeler.model import (
     gelem_to_text,
     gset,
     max_nat,
+    max_width,
     member_k,
     member_s,
     mk_elem,
@@ -222,6 +223,27 @@ def test_count_without_enumerating():
     assert count_g(3, 2, 1) == 88_910_650
     assert count_g(4, 1, 1) == 30_830_258
     assert count_g(2, 2, 2) == 7_227
+
+
+@pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 2, 1), (4, 1, 1), (0, 0, 5), (5, 0, 0)])
+def test_count_with_a_limit(bounds):
+    full = count_g(*bounds)
+    for limit in (0, 1, full - 1, full, full + 1, 10**12):
+        assert count_g(*bounds, limit=limit) == (full if full <= limit else limit + 1)
+
+
+def test_count_with_a_limit_stops_early():
+    # without the limit these counts have far too many digits to compute
+    assert count_g(60, 3, 1, limit=10**6) == 10**6 + 1
+    assert count_g(2, 10**6, 10**5, limit=1000) == 1001
+
+
+def test_max_width_of_a_deep_element():
+    e = nat(0)
+    for i in range(5000):
+        e = arrow([e] if i % 2 else [e, nat(1)], nat(0))
+    assert max_width(e) == 2
+    assert max_width(nat(3)) == 0
 
 
 def _set_width(e):

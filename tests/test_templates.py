@@ -11,7 +11,9 @@ import sys
 import pytest
 
 from engeler.companion import b0_base, closure_report
-from engeler.model import Bounds, GElem, enumerate_g, gset, nat, parse_gelem, rank
+from engeler.model import (
+    Bounds, GElem, count_g, enumerate_g, gset, max_width, nat, parse_gelem, rank,
+)
 from engeler.templates import (
     AVar,
     ArrowPat,
@@ -23,7 +25,7 @@ from engeler.templates import (
     ExplicitPat,
     FamilyPat,
     SVar,
-    SingletonPat,
+    Template,
     TemplateError,
     Matcher,
     UnionPat,
@@ -168,8 +170,6 @@ def _free_binder_leaks(t):
         elif isinstance(p, ArrowPat):
             pat_components(p.ante, bound, leaks)
             pat_components(p.cons, bound, leaks)
-        elif isinstance(p, SingletonPat):
-            pat_components(p.var, bound, leaks)
         elif isinstance(p, ExplicitPat):
             for m in p.members:
                 pat_components(m, bound, leaks)
@@ -273,6 +273,39 @@ def test_enumerate_budget():
         enumerate_template(template_of(parse_term("SS")), Bounds(3, 2, 1), budget=1000)
 
 
+@pytest.mark.parametrize("text, bounds", [
+    ("S", Bounds(5, 2, 1)),  # universe(3, 2, 1) alone has 88,910,650 elements
+    ("SKK", Bounds(4, 2, 1)),
+    ("K", Bounds(3, 2, 100_000)),  # 100,001 naturals at rank 0
+])
+def test_pool_larger_than_the_budget_is_budget_exceeded(text, bounds):
+    with pytest.raises(BudgetExceeded, match="pool has more than 1000 elements"):
+        enumerate_template(template_of(parse_term(text)), bounds, budget=1000)
+
+
+def test_pool_size_is_checked_once_per_rank(monkeypatch):
+    import engeler.templates as templates
+
+    sized = []
+
+    def counting(*args, **kwargs):
+        sized.append(args[0])
+        return count_g(*args, **kwargs)
+
+    monkeypatch.setattr(templates, "count_g", counting)
+    enumerate_template(template_of(parse_term("S")), Bounds(3, 1, 0), budget=400_000)
+    assert sorted(sized) == sorted(set(sized))
+    assert sized
+
+
+@pytest.mark.parametrize("text", ["K", "SKK"])
+def test_set_size_bound_cuts_singletons(text):
+    # K's antecedent {t} has one member, more than a set size of 0 allows
+    assert enumerate_template(template_of(parse_term(text)), Bounds(2, 0, 1)) == ([], True)
+    elems, _ = enumerate_template(template_of(parse_term(text)), Bounds(2, 1, 1))
+    assert elems and all(max_width(e) <= 1 for e in elems)
+
+
 def test_enumeration_members_satisfy_template():
     tpl = template_of(parse_term("SK"))
     elems, _ = enumerate_template(tpl, Bounds(2, 2, 1))
@@ -302,7 +335,6 @@ class _UnprunedEnumerator(_Enumerator):
 
     def _gen_family(self, p, n, depth, b):
         insts = [reindex(p.body, p.binder, i) for i in range(1, n + 1)]
-        insts = [q.var if isinstance(q, SingletonPat) else q for q in insts]
         yield from self._all(insts, depth, b, self.bounds.max_set_size)
 
     def _all(self, pats, depth, b, size):
@@ -470,6 +502,18 @@ def test_has_singleton_setvar_on_s_terms():
         assert not has_singleton_setvar(template_of(term)), print_term(term)
 
 
+@pytest.mark.parametrize("text, root", [
+    ("S(KK)K", "({t0} -> ({} -> ({} -> t0)))"),
+    ("S(SK)K", "({t0} -> ({} -> t0))"),
+])
+def test_has_singleton_setvar_sees_composed_singletons(text, root):
+    # composition builds these antecedents as listings; the shape is what counts
+    t = template_of(parse_term(text))
+    assert canon(template_to_text(t)) == root
+    assert has_singleton_setvar(t)
+    assert not has_singleton_setvar(Template(ArrowPat(ExplicitPat((nat(0),)), EVar("t"))))
+
+
 # ---------------------------------------------------------------------------
 # the variable-rewriting walks, the quantifier and the listing matcher
 
@@ -487,11 +531,11 @@ def test_reindex_shadowed_family_keeps_body_and_moves_arity():
 
 def test_rename_vars_renames_binders_and_string_components_only():
     p = FamilyPat(AVar("n", ("k", 2), minimum=2), "k",
-                  ArrowPat(SingletonPat(EVar("t")), EVar("r", ("k", 2))))
+                  ArrowPat(ExplicitPat((EVar("t"),)), EVar("r", ("k", 2))))
     out = rename_vars(p, ".7")
     assert out.binder == "k.7"
     assert (out.arity.name, out.arity.index, out.arity.minimum) == ("n.7", ("k.7", 2), 2)
-    assert out.body.ante.var.key == ("e", "t.7", ())
+    assert out.body.ante.members[0].key == ("e", "t.7", ())
     assert out.body.cons.key == ("e", "r.7", ("k.7", 2))
 
 
