@@ -97,13 +97,12 @@ class ConfigError(ValueError):
 
 
 def _count(text: str) -> int:
-    """The value of every numeric flag and config key: an integer >= 0."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
+    """The value of every numeric flag and config key: digits 0-9 only."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
     raise argparse.ArgumentTypeError(
         f"expected a non-negative integer, got {text!r}")
 
@@ -229,10 +228,10 @@ def _resolve_term(text: str, expand: bool = True):
 
 def _parse_element(text: str):
     """An element in text form ('({0} -> 0)', '3') or as a JSON element
-    object (see gelem_from_json).  Text form starts with '(' or a digit;
-    anything else is read as JSON."""
+    object (see gelem_from_json).  Text form starts with '(' or is all
+    digits 0-9; anything else is read as JSON."""
     text = text.strip()
-    if text.startswith("(") or text.isdigit():
+    if text.startswith("(") or (text.isascii() and text.isdigit()):
         return parse_gelem(text)
     try:
         obj = _load_json(text)
@@ -244,12 +243,17 @@ def _parse_element(text: str):
 
 
 def _load_json(text: str):
-    """json.loads; JSON nested deeper than the decoder can follow is an
-    ElementSyntaxError, since only elements are read as JSON here."""
+    """json.loads; JSON nested deeper than the decoder can follow, or with
+    a number longer than int() converts, is an ElementSyntaxError, since
+    only elements are read as JSON here."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ElementSyntaxError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int()'s limit on the digits it converts
+        raise ElementSyntaxError("JSON number too long") from None
 
 
 def _read_set_file(path: str):

@@ -140,8 +140,8 @@ def companion_candidates(sigma: Term, e: GElem, mu: int):
                 b2 = dict(b)
                 b2[key] = substitute_mu(val, mu)
                 cand = instantiate(t, b2)
-                if ("i", cand._key) not in seen:
-                    seen.add(("i", cand._key))
+                if ("i", cand) not in seen:
+                    seen.add(("i", cand))
                     out.append(("i", cand))
             continue
         has_sing = any(
@@ -157,8 +157,8 @@ def companion_candidates(sigma: Term, e: GElem, mu: int):
                 b2 = dict(b)
                 b2[key] = nat(mu)
                 cand = instantiate(t, b2)
-                if ("ii", cand._key) not in seen:
-                    seen.add(("ii", cand._key))
+                if ("ii", cand) not in seen:
+                    seen.add(("ii", cand))
                     out.append(("ii", cand))
             continue
     if not found_match:
@@ -173,10 +173,10 @@ def companion_candidates(sigma: Term, e: GElem, mu: int):
 def companion(sigma: Term, e: GElem, mu: int) -> GElem:
     """The companion element, when the construction is unambiguous."""
     cands = companion_candidates(sigma, e, mu)
-    distinct = {c._key: c for _, c in cands}
+    distinct = {c for _, c in cands}
     if len(distinct) > 1:
         raise AmbiguousCompanion([c for _, c in cands])
-    return next(iter(distinct.values()))
+    return next(iter(distinct))
 
 
 def check_companion_closure(sigma: Term, e: GElem) -> bool:

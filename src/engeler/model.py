@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .terms import Term, _mix
+from .terms import DIGITS, Term, _mix
 
 
 class GElem:
@@ -413,11 +413,14 @@ def parse_gelem(text: str) -> GElem:
     def parse_elem():
         nonlocal pos
         skip_ws()
-        if pos < n and text[pos].isdigit():
+        if pos < n and text[pos] in DIGITS:
             j = pos
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
-            v = int(text[pos:j])
+            try:
+                v = int(text[pos:j])
+            except ValueError:  # more digits than int() converts
+                raise ElementSyntaxError(f"number too long at {pos}") from None
             pos = j
             return nat(v)
         expect("(")

@@ -51,13 +51,13 @@ def subelements(e: GElem):
     work = [e]
     while work:
         x = work.pop()
-        if x._key in seen:
+        if x in seen:
             continue
-        seen[x._key] = x
+        seen[x] = None  # a dict keeps the order of first visits
         if isinstance(x, Arrow):
             work.append(x.cons)
             work.extend(x.ante)
-    return list(seen.values())
+    return list(seen)
 
 
 def _tau_choices(sigma, fsts_union):
@@ -75,7 +75,7 @@ class Oracle:
     def __init__(self, bounds: OracleBounds = OracleBounds()):
         self.bounds = bounds
         self.universe = universe(bounds.max_rank, bounds.max_set_size, bounds.max_nat)
-        self._in_universe = {m._key for m in self.universe}
+        self._in_universe = set(self.universe)
         self._members = {}  # (term, elem) -> bool
         self._den = {}  # term -> members of den(term) within the universe
 
@@ -122,8 +122,8 @@ class Oracle:
         candidates = list(self._denotation_within(arg))
         seen = set(self._in_universe)
         for extra in self._extra_candidates(e, rich):
-            if extra._key not in seen:
-                seen.add(extra._key)
+            if extra not in seen:
+                seen.add(extra)
                 if self._member(arg, extra, False):
                     candidates.append(extra)
         cap = min(self.bounds.ante_cap, len(candidates))

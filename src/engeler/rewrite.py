@@ -1,21 +1,33 @@
 """One-step contraction, leftmost-outermost reduction, and bounded search
 over the full rewrite relation.
 
-Positions are paths of 'left'/'right' moves addressing the application node
-that spans an atom together with exactly its rule's number of arguments.
-`reduces_to` explores every redex choice breadth-first under fuel (path
-length) and width (frontier size) bounds, so a negative answer always means
-"not found within bounds", never a proof.
+`_reducts` is the one redex walk.  On a spine ``h a1 … an`` only the node
+applying h to exactly its arity (from `RULES`) of arguments can be a redex,
+and it precedes the arguments in preorder; so the walk takes each spine
+apart once, keeps its own stack, and yields each reduct leftmost-outermost
+first, sharing every subtree its contraction leaves alone.  A position is
+a path of 'left'/'right' moves to the redex node.  `reduces_to` explores
+every redex choice breadth-first under fuel (path length) and width
+(frontier size) bounds, so a negative answer always means "not found
+within bounds", never a proof.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .terms import App, Atom, Term, Var, app, spine, var
+from .terms import App, Atom, Term, term_stats, var
 
-RULE_ARITY = {"K": 2, "S": 3, "B": 3, "I": 1, "J": 4, "L": 2, "M": 1}
+# atom name -> (arity, contractum of the atom applied to that many arguments)
+RULES = {
+    "K": (2, lambda a, b: a),
+    "S": (3, lambda a, b, c: App(App(a, c), App(b, c))),
+    "B": (3, lambda a, b, c: App(a, App(b, c))),
+    "I": (1, lambda a: a),
+    "J": (4, lambda a, b, c, d: App(App(a, b), App(App(a, d), c))),
+    "L": (2, lambda a, b: App(a, App(b, b))),
+    "M": (1, lambda a: App(a, a)),
+}
 
 DEFAULT_FUEL = 10_000
 DEFAULT_WIDTH = 10_000
@@ -29,83 +41,67 @@ class RedexError(ValueError):
     pass
 
 
-def _contract_spine(head: Atom, args: list) -> Term:
-    """Contractum of an atom applied to exactly its arity of arguments."""
-    name = head.name
-    if name == "K":
-        a, b = args
-        return a
-    if name == "S":
-        a, b, c = args
-        return App(App(a, c), App(b, c))
-    if name == "B":
-        a, b, c = args
-        return App(a, App(b, c))
-    if name == "I":
-        return args[0]
-    if name == "J":
-        a, b, c, d = args
-        return App(App(a, b), App(App(a, d), c))
-    if name == "L":
-        a, b = args
-        return App(a, App(b, b))
-    if name == "M":
-        return App(args[0], args[0])
-    raise RedexError(f"no rule for atom {name!r}")
+def _plug(t: Term, nodes, k, ctx) -> Term:
+    """The whole term with t in place of nodes[k].  `nodes` lists a spine's
+    application nodes top down; the context `ctx` is None at the root, else
+    the (nodes, k, ctx) whose nodes[k].right holds this spine."""
+    while True:
+        for j in range(k - 1, -1, -1):
+            t = App(t, nodes[j].right)
+        if ctx is None:
+            return t
+        nodes, k, ctx = ctx
+        t = App(nodes[k].left, t)
 
 
-def _redex_parts(t: Term):
-    """(head, args) if t spans exactly one full redex, else None."""
-    if not isinstance(t, App):
-        return None
-    head, args = spine(t)
-    if isinstance(head, Atom) and RULE_ARITY.get(head.name) == len(args):
-        return head, args
-    return None
+def _path(lefts, ctx) -> tuple:
+    """Path of the node `lefts` steps down the spine that `ctx` holds."""
+    steps = ["left"] * lefts
+    while ctx is not None:
+        _, k, ctx = ctx
+        steps += ["right"] + ["left"] * k
+    return tuple(reversed(steps))
 
 
-def _redex_paths(t: Term):
-    """Redex positions in leftmost-outermost order (preorder), lazily."""
-    work = [(t, ())]
+def _reducts(t: Term):
+    """((lefts, ctx), reduct) for each redex of t, leftmost-outermost
+    first; `_path(lefts, ctx)` is the redex's path."""
+    work = [(t, None)]
     while work:
-        node, path = work.pop()
-        if not isinstance(node, App):
-            continue
-        if _redex_parts(node) is not None:
-            yield path
-        work.append((node.right, path + ("right",)))
-        work.append((node.left, path + ("left",)))
+        node, ctx = work.pop()
+        nodes = []
+        while isinstance(node, App):
+            nodes.append(node)
+            node = node.left
+        if isinstance(node, Atom):
+            arity, rule = RULES[node.name]
+            lefts = len(nodes) - arity
+            if lefts >= 0:
+                args = [n.right for n in reversed(nodes[lefts:])]
+                yield (lefts, ctx), _plug(rule(*args), nodes, lefts, ctx)
+        # the first argument is pushed last, so it is walked first
+        for k, n in enumerate(nodes):
+            if isinstance(n.right, App):
+                work.append((n.right, (nodes, k, ctx)))
 
 
 def find_redexes(t: Term):
     """All redex positions in leftmost-outermost order (preorder)."""
-    return list(_redex_paths(t))
-
-
-def _first_redex(t: Term):
-    return next(_redex_paths(t), None)
+    return [_path(*pos) for pos, _ in _reducts(t)]
 
 
 def contract(t: Term, path) -> Term:
     """Contract the redex at `path`; error if the path is not a redex."""
-    if not path:
-        parts = _redex_parts(t)
-        if parts is None:
-            raise RedexError("not a redex at the given position")
-        return _contract_spine(*parts)
-    step, rest = path[0], path[1:]
-    if not isinstance(t, App):
-        raise RedexError(f"path {list(path)} leaves the term")
-    if step == "left":
-        return App(contract(t.left, rest), t.right)
-    if step == "right":
-        return App(t.left, contract(t.right, rest))
-    raise RedexError(f"bad path step {step!r}")
+    path = tuple(path)
+    for pos, reduct in _reducts(t):
+        if _path(*pos) == path:
+            return reduct
+    raise RedexError(f"no redex at path {list(path)}")
 
 
 def one_step_reducts(t: Term):
     """All terms reachable by contracting a single redex, in redex order."""
-    return [contract(t, p) for p in find_redexes(t)]
+    return [reduct for _, reduct in _reducts(t)]
 
 
 @dataclass(frozen=True)
@@ -120,19 +116,6 @@ class ReductionTrace:
     outcome: str
     final: Term
 
-    def __len__(self):
-        return len(self.steps)
-
-    def to_json(self):
-        from .terms import term_to_json
-
-        out = [
-            {"term": term_to_json(s.term), "redex": list(s.redex)}
-            for s in self.steps
-        ]
-        out.append({"outcome": self.outcome, "final": term_to_json(self.final)})
-        return out
-
 
 def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
     """Deterministic leftmost-outermost reduction.
@@ -144,13 +127,13 @@ def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
     seen = {t}
     current = t
     while True:
-        pos = _first_redex(current)
-        if pos is None:
+        first = next(_reducts(current), None)
+        if first is None:
             return ReductionTrace(tuple(steps), NORMAL_FORM, current)
         if len(steps) >= fuel:
             return ReductionTrace(tuple(steps), FUEL_EXHAUSTED, current)
-        steps.append(ReductionStep(current, pos))
-        current = contract(current, pos)
+        steps.append(ReductionStep(current, _path(*first[0])))
+        current = first[1]
         if current in seen:
             return ReductionTrace(tuple(steps), CYCLE_DETECTED, current)
         seen.add(current)
@@ -164,10 +147,6 @@ def normal_form(t: Term, fuel: int = DEFAULT_FUEL):
 
 # ---------------------------------------------------------------------------
 # Bounded search over all redex choices
-
-
-def _sort_key(t):
-    return (t.size, t._hash)
 
 
 def _reduces_to_py(x: Term, y: Term, fuel: int, width: int) -> bool:
@@ -185,29 +164,34 @@ def _reduces_to_py(x: Term, y: Term, fuel: int, width: int) -> bool:
                     nxt.add(r)
         if not nxt:
             return False
-        frontier = sorted(nxt, key=_sort_key)[:width]
+        frontier = sorted(nxt, key=lambda r: (r.size, r._hash))[:width]
         visited.update(frontier)
     return False
 
 
-# Backend selection: the compiled kernel accelerates reduces_to; set
-# ENGELER_PURE=1 to force the pure-Python path.
-_kernel = None
-if not os.environ.get("ENGELER_PURE"):
-    try:
-        from . import _reduction as _kernel  # type: ignore
-    except ImportError:
-        _kernel = None
+# The compiled kernel, when it is built, accelerates reduces_to.
+try:
+    from . import _reduction as _kernel  # type: ignore
+except ImportError:
+    _kernel = None
 
 BACKEND = "compiled" if _kernel is not None else "python"
 
 
 def _to_tuples(t: Term):
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Var):
-        return t.index
-    return (_to_tuples(t.left), _to_tuples(t.right))
+    """The kernel's input form: an atom name, a variable index or a
+    (left, right) pair; built with its own stack."""
+    done, work = [], [t]
+    while work:
+        node = work.pop()
+        if isinstance(node, App):
+            work += (None, node.right, node.left)
+        elif node is not None:
+            done.append(node.name if isinstance(node, Atom) else node.index)
+        else:  # None marks a pair whose two sides are done
+            right = done.pop()
+            done[-1] = (done[-1], right)
+    return done[0]
 
 
 def reduces_to(
@@ -235,8 +219,6 @@ def identity_behavior(
     Returns 'yes' or 'no-within-bounds'.  Rejects open terms: the probe
     variable must be fresh by construction.
     """
-    from .terms import term_stats
-
     if term_stats(sigma)["var_count"]:
         raise ValueError("identity_behavior expects a closed term")
     x = var(0)

@@ -1066,9 +1066,9 @@ class Matcher:
             seen = set()
             for opt in option_sets:
                 val = gset(opt)
-                if val._key in seen:
+                if val in seen:
                     continue
-                seen.add(val._key)
+                seen.add(val)
                 yield from self.match_set(open_parts[0], val, b)
             return
         if len(open_parts) == 2 and len(leftover) <= 4 and len(g) <= 4:
@@ -1450,10 +1450,10 @@ def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
     slack = max(bounds.max_set_size, bounds.max_arity)
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
     for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):
-        if v._key in seen:
+        if v in seen:
             continue
         if check(b):
-            seen.add(v._key)
+            seen.add(v)
             out.append(v)
     out.sort()
     return out, True
@@ -1507,14 +1507,14 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
     for pat, b in states:
         g = ground_elem(pat)
         if g is not None:
-            if g._key not in seen and check(b):
-                seen.add(g._key)
+            if g not in seen and check(b):
+                seen.add(g)
                 out.append(g)
             continue
         truncated = True
         for v, b2 in enum.gen_elem(pat, bounds.max_rank, b):
-            if check(b2) and v._key not in seen:
-                seen.add(v._key)
+            if check(b2) and v not in seen:
+                seen.add(v)
                 out.append(v)
     out.sort()
     return out, truncated

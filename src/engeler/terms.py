@@ -14,6 +14,10 @@ ATOM_NAMES = ("K", "S", "B", "I", "J", "L", "M")
 # Short aliases accepted by the parser for the first few variables.
 VAR_ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
+# The digits of variable indices and element naturals (str.isdigit would
+# also take '²' and '٣').
+DIGITS = frozenset("0123456789")
+
 # Process-independent structural hashing (salted str hashes would make
 # frontier ordering irreproducible across runs).
 _MASK = (1 << 64) - 1
@@ -177,11 +181,16 @@ def _tokenize(text):
         elif c in _ATOMS:
             toks.append(("atom", c, i))
             i += 1
-        elif c == "x" and i + 1 < n and text[i + 1].isdigit():
+        elif c == "x" and i + 1 < n and text[i + 1] in DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
-            toks.append(("var", int(text[i + 1 : j]), i))
+            try:
+                index = int(text[i + 1 : j])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("variable index too long",
+                                 _byte_offset(text, i)) from None
+            toks.append(("var", index, i))
             i = j
         elif c in VAR_ALIASES:
             toks.append(("var", VAR_ALIASES[c], i))

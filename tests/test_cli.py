@@ -383,6 +383,8 @@ def test_negative_config_value(capsys, tmp_path):
 
 # an element nested 400 deep, each level in an antecedent
 DEEP_ANTE = "({" * 400 + "0" + "} -> 0)" * 400
+# more digits than int() converts (its limit is 4,300)
+LONG_NUMBER = "1" * 5000
 
 
 @pytest.mark.parametrize("element, answer", [
@@ -438,6 +440,20 @@ def test_member_of_a_deep_element(capsys, element, answer):
                      "engeler: maximum recursion depth exceeded",
                      marks=pytest.mark.skipif(sys.version_info >= (3, 12),
                                               reason="the element is written out")),
+        # only 0-9 are digits, and a number longer than int() converts is a
+        # syntax error
+        (("member", "K", "²"), 1, "engeler: '²' is neither element text nor JSON"),
+        (("member", "K", "({²}->0)"), 1, "engeler: expected '(' at 2"),
+        (("parse", "x²"), 1, "engeler: unexpected character '²' (byte 1)"),
+        (("parse", "x٣"), 1, "engeler: unexpected character '٣' (byte 1)"),
+        (("member", "K", LONG_NUMBER), 1, "engeler: number too long at 0"),
+        (("member", "K", f'{{"nat": {LONG_NUMBER}}}'), 1,
+         "engeler: JSON number too long"),
+        (("parse", "x" + LONG_NUMBER), 1,
+         "engeler: variable index too long (byte 0)"),
+        (("reduce", "SKKx", "--fuel", "٣"), 1,
+         "engeler reduce: error: argument --fuel: expected a non-negative "
+         "integer, got '٣'"),
     ],
 )
 def test_exit_code_contract(capsys, argv, code, prefix):

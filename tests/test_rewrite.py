@@ -1,8 +1,6 @@
 """Reduction engine: contractions, traces, bounded reachability."""
 
-import os
 import random
-import subprocess
 import sys
 
 import pytest
@@ -21,7 +19,7 @@ from engeler.rewrite import (
     reduce,
     reduces_to,
 )
-from engeler.terms import expand_stdlib, parse_term, print_term, stdlib_lookup
+from engeler.terms import app, expand_stdlib, parse_term, print_term, stdlib_lookup
 
 from conftest import random_term
 
@@ -56,11 +54,6 @@ def test_skkx_trace():
     assert tr.steps[0].redex == ()
     assert print_term(tr.final) == "x0"
 
-    j = tr.to_json()
-    assert len(j) == 3
-    assert j[-1] == {"outcome": "normal-form", "final": {"var": 0}}
-    assert j[0]["redex"] == []
-
 
 def test_cycle_detection():
     tr = reduce(parse_term("MM"), fuel=100)
@@ -93,8 +86,12 @@ def test_one_step_reducts():
 def test_contract_at_path():
     t = parse_term("SKKx")
     assert contract(t, ()) == parse_term("Kx(Kx)")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"no redex at path \['right', 'right'\]"):
         contract(t, ("right", "right"))
+    t = parse_term("K(Ix)y")
+    assert contract(t, ["left", "right"]) == parse_term("Kxy")
+    with pytest.raises(ValueError, match="no redex at path"):
+        contract(t, ("left",))
 
 
 def test_reduces_to():
@@ -112,6 +109,27 @@ def test_identity_behavior():
     assert identity_behavior(parse_term("SKK"), fuel=100) == "yes"
     with pytest.raises(ValueError):
         identity_behavior(parse_term("Sx"))
+
+
+def _deep_term(depth=3000):
+    """S applied `depth` times around Kxy, and its normal form."""
+    redex, nf = parse_term("Kxy"), parse_term("x")
+    s = parse_term("S")
+    for _ in range(depth):
+        redex, nf = app(s, redex), app(s, nf)
+    return redex, nf
+
+
+def test_deep_term_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() < 3000
+    t, nf = _deep_term()
+    tr = reduce(t)
+    assert tr.outcome == NORMAL_FORM and tr.final == nf
+    assert tr.steps[0].redex == ("right",) * 3000
+    assert one_step_reducts(t) == [nf]
+    assert find_redexes(t) == [("right",) * 3000]
+    assert reduces_to(t, nf, fuel=5, width=50)
+    assert not reduces_to(nf, t, fuel=5, width=50)
 
 
 def test_backend_is_declared():
@@ -135,14 +153,7 @@ def test_compiled_backend_matches_python():
         assert got == want, (print_term(a), print_term(b), fuel, width)
         checked += 1
     assert checked == 150
-
-
-def test_pure_fallback_env_switch():
-    out = subprocess.run(
-        [sys.executable, "-c", "import engeler.rewrite as r; print(r.BACKEND)"],
-        env={**os.environ, "ENGELER_PURE": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+    deep, nf = _deep_term()
+    for a, b in [(deep, nf), (nf, deep)]:
+        want = _reduces_to_py(a, b, 5, 50)
+        assert _reduction.reaches(_to_tuples(a), _to_tuples(b), 5, 50) == want
