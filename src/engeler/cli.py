@@ -59,14 +59,15 @@ from .templates import (
 from .oracle import member_oracle
 from .terms import (
     ParseError,
+    Term,
     atom,
     enumerate_s_terms,
     expand_stdlib,
     parse_term,
     print_term,
     stdlib_lookup,
+    term_json,
     term_stats,
-    term_to_json,
 )
 
 EXIT_OK = 0
@@ -150,7 +151,7 @@ class Emitter:
     def emit(self, text: str, obj=None):
         if self.as_json:
             if obj is not None:
-                print(json.dumps(obj, sort_keys=True), file=self.out)
+                print(_json_line(obj), file=self.out)
         else:
             print(text, file=self.out)
 
@@ -158,6 +159,15 @@ class Emitter:
         # commentary that scripts should be able to skip
         if not self.as_json:
             print(f"# {text}", file=self.out)
+
+
+def _json_line(obj: dict) -> str:
+    """json.dumps(obj, sort_keys=True), except that a Term value is written
+    by term_json, so that a term of any depth is written."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: "
+        + (term_json(val) if isinstance(val, Term) else json.dumps(val, sort_keys=True))
+        for key, val in sorted(obj.items())) + "}"
 
 
 @dataclass
@@ -289,7 +299,7 @@ def _element_text(obj) -> str:
 
 def cmd_parse(args, em, cfg):
     t = _resolve_term(args.term, args.expand)
-    text, obj = print_term(t), {"term": print_term(t), "json": term_to_json(t)}
+    text, obj = print_term(t), {"term": print_term(t), "json": t}
     if args.stats:
         obj["stats"] = stats = term_stats(t)
         text += "\n# " + " ".join(f"{k}={v}" for k, v in sorted(stats.items()))
@@ -303,10 +313,10 @@ def cmd_reduce(args, em, cfg):
     if em.as_json:
         if args.trace:
             for k, step in enumerate(trace.steps):
-                em.emit("", {"step": k, "term": term_to_json(step.term),
+                em.emit("", {"step": k, "term": step.term,
                              "redex": list(step.redex)})
         em.emit("", {"outcome": trace.outcome,
-                     "final": term_to_json(trace.final),
+                     "final": trace.final,
                      "steps": len(trace.steps)})
     else:
         if args.trace:
@@ -320,7 +330,7 @@ def cmd_reduce(args, em, cfg):
 def cmd_normal_form(args, em, cfg):
     t = _resolve_term(args.term, args.expand)
     final, ok = normal_form(t, fuel=cfg["fuel"])
-    em.emit(print_term(final), {"final": term_to_json(final), "normal": ok})
+    em.emit(print_term(final), {"final": final, "normal": ok})
     return EXIT_OK if ok else EXIT_BOUNDED
 
 

@@ -1,15 +1,25 @@
 """One-step contraction, leftmost-outermost reduction, and bounded search
 over the full rewrite relation.
 
-`_reducts` is the one redex walk.  On a spine ``h a1 … an`` only the node
-applying h to exactly its arity (from `RULES`) of arguments can be a redex,
-and it precedes the arguments in preorder; so the walk takes each spine
-apart once, keeps its own stack, and yields each reduct leftmost-outermost
-first, sharing every subtree its contraction leaves alone.  A position is
-a path of 'left'/'right' moves to the redex node.  `reduces_to` explores
-every redex choice breadth-first under fuel (path length) and width
-(frontier size) bounds, so a negative answer always means "not found
-within bounds", never a proof.
+`_reducts` is the redex walk that `reduce`, `find_redexes` and `contract`
+read.  On a spine ``h a1 … an`` only the node applying h to exactly its
+arity (from `RULES`) of arguments can be a redex, and it precedes the
+arguments in preorder; so the walk takes each spine apart once, keeps its
+own stack, and yields each reduct leftmost-outermost first, sharing every
+subtree its contraction leaves alone.  A position is a path of
+'left'/'right' moves to the redex node.
+
+`reduces_to` explores every redex choice breadth-first under fuel (path
+length) and width (frontier size) bounds, so a negative answer always
+means "not found within bounds", never a proof.  Frontier terms share
+nearly all their nodes, so the search expands terms through a table that
+lives for one call: it maps each App node, by id, to the node's one-step
+reducts in preorder (the node's own contraction, then those of its left
+side, then those of its right side), and is filled post-order with its
+own stack, so a node shared by many frontier terms is expanded once.
+Each entry holds its node, so no id is reused while the table lives;
+the table is dropped when the search returns.  `one_step_reducts` reads
+the same walk with a fresh table.
 """
 
 from __future__ import annotations
@@ -99,9 +109,72 @@ def contract(t: Term, path) -> Term:
     raise RedexError(f"no redex at path {list(path)}")
 
 
+# atom name -> how many more arguments make it a redex's head
+_NEED = {name: arity - 1 for name, (arity, _) in RULES.items()}
+
+
+def _contractum(redex: App) -> Term:
+    """The contraction of `redex`, a node whose `need` is 0."""
+    args = []
+    while type(redex) is App:
+        args.append(redex.right)
+        redex = redex.left
+    return RULES[redex.name][1](*reversed(args))
+
+
+def _table_reducts(t: Term, table: dict):
+    """The one-step reducts of t in redex order (preorder): t's own
+    contraction, then App(l', r) for each reduct l' of its left side, then
+    App(l, r') for each reduct r' of its right side.
+
+    `table` maps id(node) to (node, reducts, need) for every App node seen
+    so far, where `need` is how many more arguments the node's head takes
+    before it is a redex (0: the node is one; negative: never).  It is
+    filled post-order with its own stack, so a node shared by many terms
+    is expanded once; the node in each entry keeps its id from being
+    reused while the table lives.  A leaf has no reducts and no entry.
+    The search spends its time here, hence `type(...) is` over isinstance."""
+    if type(t) is not App:
+        return ()
+    work = [t]
+    while work:
+        node = work[-1]
+        left, right = node.left, node.right
+        if type(left) is App:
+            entry = table.get(id(left))
+            if entry is None:
+                work.append(left)
+                if type(right) is App and id(right) not in table:
+                    work.append(right)
+                continue
+            _, lreds, need = entry
+            need -= 1
+        else:
+            lreds = ()
+            need = _NEED[left.name] if type(left) is Atom else -1
+        if type(right) is App:
+            entry = table.get(id(right))
+            if entry is None:
+                work.append(right)
+                continue
+            rreds = entry[1]
+        else:
+            rreds = ()
+        work.pop()
+        if id(node) in table:  # a shared node pushed twice
+            continue
+        out = [_contractum(node)] if need == 0 else []
+        if lreds:
+            out += [App(l, right) for l in lreds]
+        if rreds:
+            out += [App(left, r) for r in rreds]
+        table[id(node)] = (node, out, need)
+    return table[id(t)][1]
+
+
 def one_step_reducts(t: Term):
     """All terms reachable by contracting a single redex, in redex order."""
-    return [reduct for _, reduct in _reducts(t)]
+    return list(_table_reducts(t, {}))
 
 
 @dataclass(frozen=True)
@@ -154,10 +227,11 @@ def _reduces_to_py(x: Term, y: Term, fuel: int, width: int) -> bool:
         return True
     frontier = [x]
     visited = {x}
+    table = {}  # frontier terms share most nodes; expand each node once
     for _ in range(fuel):
         nxt = set()
         for t in frontier:
-            for r in one_step_reducts(t):
+            for r in _table_reducts(t, table):
                 if r == y:
                     return True
                 if r not in visited:

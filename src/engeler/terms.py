@@ -203,72 +203,44 @@ def _tokenize(text):
 def parse_term(text: str) -> Term:
     """Parse concrete syntax: juxtaposition or '·' for application,
     parentheses for grouping, atoms KSBIJLM, variables x0, x1, ... with
-    aliases x y z w.  Text nested deeper than the interpreter's recursion
-    limit allows raises ParseError, like any other malformed text."""
+    aliases x y z w.  Parses with its own stack, so text nested to any
+    depth is read."""
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty term", _byte_offset(text, len(text)))
-
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else (None, None, len(text))
-
-    def parse_seq():
-        nonlocal pos
-        items = []
-        expect_item = True
-        while True:
-            kind, value, ci = peek()
-            if kind == ".":
-                if expect_item:
-                    raise ParseError("misplaced '·'", _byte_offset(text, ci))
-                pos += 1
-                expect_item = True
-                continue
-            if kind in (None, ")"):
-                break
-            it = parse_item()
-            items.append(it)
+    toks.append((None, None, len(text)))
+    # items of the innermost open group, whether an item must come next,
+    # the '(' that opened the group (None at the top), and the groups
+    # around it as (items, opener) pairs
+    items, expect_item, opener, outer = [], True, None, []
+    for kind, value, ci in toks:
+        if kind == "atom" or kind == "var":
+            items.append(atom(value) if kind == "atom" else var(value))
             expect_item = False
-        kind, value, ci = peek()
-        if expect_item and items:
-            raise ParseError("dangling '·'", _byte_offset(text, ci))
-        if not items:
-            raise ParseError("expected a term", _byte_offset(text, ci))
-        t = items[0]
-        for it in items[1:]:
-            t = App(t, it)
-        return t
-
-    def parse_item():
-        nonlocal pos
-        kind, value, ci = peek()
-        if kind == "atom":
-            pos += 1
-            return atom(value)
-        if kind == "var":
-            pos += 1
-            return var(value)
-        if kind == "(":
-            pos += 1
-            inner = parse_seq()
-            kind2, _, ci2 = peek()
-            if kind2 != ")":
-                raise ParseError("unbalanced '('", _byte_offset(text, ci))
-            pos += 1
-            return inner
-        raise ParseError("expected a term", _byte_offset(text, ci))
-
-    try:
-        result = parse_seq()
-    except RecursionError:
-        raise ParseError("term nested too deeply",
-                         _byte_offset(text, peek()[2])) from None
-    kind, _, ci = peek()
-    if kind is not None:
-        raise ParseError("unbalanced ')'", _byte_offset(text, ci))
-    return result
+        elif kind == ".":
+            if expect_item:
+                raise ParseError("misplaced '·'", _byte_offset(text, ci))
+            expect_item = True
+        elif kind == "(":
+            outer.append((items, opener))
+            items, expect_item, opener = [], True, ci
+        else:  # ')' or the end closes the innermost group
+            if expect_item and items:
+                raise ParseError("dangling '·'", _byte_offset(text, ci))
+            if not items:
+                raise ParseError("expected a term", _byte_offset(text, ci))
+            t = items[0]
+            for it in items[1:]:
+                t = App(t, it)
+            if opener is None:
+                if kind is not None:
+                    raise ParseError("unbalanced ')'", _byte_offset(text, ci))
+                return t
+            if kind is None:
+                raise ParseError("unbalanced '('", _byte_offset(text, opener))
+            items, opener = outer.pop()
+            items.append(t)
+            expect_item = False
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +308,24 @@ def term_to_json(t: Term):
     if isinstance(t, Var):
         return {"var": t.index}
     return {"app": [term_to_json(t.left), term_to_json(t.right)]}
+
+
+def term_json(t: Term) -> str:
+    """json.dumps(term_to_json(t)), written with its own stack, so that a
+    term of any depth is written."""
+    out, work = [], [t]
+    while work:
+        node = work.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, App):
+            out.append('{"app": [')
+            work += ("]}", node.right, ", ", node.left)
+        elif isinstance(node, Atom):
+            out.append(f'{{"atom": "{node.name}"}}')
+        else:
+            out.append(f'{{"var": {node.index}}}')
+    return "".join(out)
 
 
 def term_from_json(obj) -> Term:

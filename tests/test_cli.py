@@ -11,6 +11,7 @@ import pytest
 from engeler import cli
 from engeler.companion import sweep_closure
 from engeler.model import EvalResult, gset, nat
+from engeler.terms import parse_term, term_json
 
 
 def run(capsys, *argv):
@@ -21,6 +22,10 @@ def run(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # parse / reduce / normal-form
+
+# 2,000 levels deep, more than the JSON encoder's recursion limit allows
+DEEP_REDEX = "S(" * 2000 + "Kxy" + ")" * 2000
+DEEP_NF = "S(" * 2000 + "x" + ")" * 2000
 
 
 def test_parse(capsys):
@@ -35,6 +40,17 @@ def test_parse_json(capsys):
     obj = json.loads(out)
     assert obj["term"] == "SKKx0"
     assert obj["json"]["app"][1] == {"var": 0}
+    assert out == json.dumps(obj, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (("parse",), "json", DEEP_REDEX), (("reduce",), "final", DEEP_NF),
+    (("normal-form",), "final", DEEP_NF)])
+def test_json_writes_a_term_of_any_depth(capsys, argv, key, want):
+    code, out, err = run(capsys, *argv, DEEP_REDEX, "--json")
+    assert (code, err) == (0, "")
+    t = parse_term(want)
+    assert f'"{key}": {term_json(t)}' in out
 
 
 def test_parse_error_exit(capsys):
@@ -408,8 +424,9 @@ def test_member_of_a_deep_element(capsys, element, answer):
         (("member", "--via", "oracle", "Sx", "({} -> ({} -> 0))"), 3,
          "member: oracle handles closed applicative terms only"),
         (("companion", "Sx", "({0} -> 0)"), 3, "companion: term must be closed"),
-        (("parse", "(" * 3000 + "S" + ")" * 3000), 1,
-         "engeler: term nested too deeply"),
+        # a term of any depth parses, but expanding library atoms recurses
+        (("parse", "S(" * 3000 + "S" + ")" * 3000, "--expand"), 1,
+         "engeler: maximum recursion depth exceeded"),
         # flags and values the parser rejects
         (("template", "SKK", "--no-expand"), 1,
          "engeler: error: unrecognized arguments: --no-expand"),

@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from engeler.rewrite import (
     BACKEND,
@@ -11,6 +13,7 @@ from engeler.rewrite import (
     FUEL_EXHAUSTED,
     NORMAL_FORM,
     _reduces_to_py,
+    _reducts,
     contract,
     find_redexes,
     identity_behavior,
@@ -19,7 +22,15 @@ from engeler.rewrite import (
     reduce,
     reduces_to,
 )
-from engeler.terms import app, expand_stdlib, parse_term, print_term, stdlib_lookup
+from engeler.terms import (
+    app,
+    atom,
+    expand_stdlib,
+    parse_term,
+    print_term,
+    stdlib_lookup,
+    var,
+)
 
 from conftest import random_term
 
@@ -83,6 +94,21 @@ def test_one_step_reducts():
     assert one_step_reducts(parse_term("KS")) == []
 
 
+_atoms = st.sampled_from("KSBIJLM").map(atom)
+_vars = st.integers(min_value=0, max_value=3).map(var)
+_terms = st.recursive(_atoms | _vars, lambda c: st.builds(app, c, c), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms)
+def test_one_step_reducts_are_in_redex_order(t):
+    # preorder: a path sorts before its extensions, and 'left' before 'right'
+    paths = find_redexes(t)
+    assert paths == sorted(paths)
+    assert one_step_reducts(t) == [contract(t, p) for p in paths]
+    assert one_step_reducts(t) == [r for _, r in _reducts(t)]
+
+
 def test_contract_at_path():
     t = parse_term("SKKx")
     assert contract(t, ()) == parse_term("Kx(Kx)")
@@ -130,6 +156,87 @@ def test_deep_term_at_the_default_recursion_limit():
     assert find_redexes(t) == [("right",) * 3000]
     assert reduces_to(t, nf, fuel=5, width=50)
     assert not reduces_to(nf, t, fuel=5, width=50)
+
+
+def _reference_reaches(x, y, fuel, width):
+    """The bounded search without the per-call table: one_step_reducts on
+    each frontier term, the frontier ordered and cut as in the kernels."""
+    if x == y:
+        return True
+    frontier, visited = [x], {x}
+    for _ in range(fuel):
+        nxt = set()
+        for t in frontier:
+            for r in one_step_reducts(t):
+                if r == y:
+                    return True
+                if r not in visited:
+                    nxt.add(r)
+        if not nxt:
+            return False
+        frontier = sorted(nxt, key=lambda r: (r.size, r._hash))[:width]
+        visited.update(frontier)
+    return False
+
+
+def _copy(t):
+    """An equal term that shares no App node with t."""
+    return parse_term(print_term(t))
+
+
+# x, with either a reduct of x (found along some redex choices) or another
+# term as the target; fuel and width small enough to cut the frontier
+@st.composite
+def _searches(draw):
+    x = draw(_terms)
+    if draw(st.booleans()):
+        a = draw(_terms)  # equal subterms as distinct objects and as one
+        x = app(app(app(x, a), _copy(a)), app(a, a))
+    y = draw(_terms)
+    if draw(st.booleans()):
+        y = x
+        for _ in range(draw(st.integers(0, 4))):
+            reducts = one_step_reducts(y)
+            if reducts:
+                y = reducts[draw(st.integers(0, len(reducts) - 1))]
+    return x, y, draw(st.integers(0, 6)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_searches())
+@example((parse_term("Kxy"), parse_term("x"), 1, 1))  # the reduct is a leaf
+@example((parse_term("K(Kxy)z"), parse_term("x"), 2, 1))
+@example((parse_term("S(Kx)(Kx)y"), parse_term("xx"), 3, 2))
+def test_search_matches_reference(search):
+    x, y, fuel, width = search
+    assert _reduces_to_py(x, y, fuel, width) == _reference_reaches(x, y, fuel, width)
+
+
+def test_search_matches_reference_over_many_calls():
+    # the table of each call is dropped on return, so later calls see the
+    # ids of freed nodes again
+    rng = random.Random(77)
+    found = 0
+    for _ in range(400):
+        x = random_term(rng, rng.randint(2, 7), "KSBIJLM")
+        y = x
+        for _ in range(rng.randint(0, 3)):
+            reducts = one_step_reducts(y)
+            if reducts:
+                y = rng.choice(reducts)
+        if rng.random() < 0.3:
+            y = random_term(rng, rng.randint(1, 4), "KSBIJLM")
+        fuel, width = rng.randint(1, 6), rng.randint(1, 8)
+        want = _reference_reaches(x, y, fuel, width)
+        assert _reduces_to_py(x, y, fuel, width) == want, (print_term(x), print_term(y))
+        found += want
+    assert 0 < found < 400
+
+
+def test_deep_search_matches_reference():
+    deep, nf = _deep_term()
+    for a, b in [(deep, nf), (nf, deep), (deep, deep.right)]:
+        assert _reduces_to_py(a, b, 5, 50) == _reference_reaches(a, b, 5, 50)
 
 
 def test_backend_is_declared():

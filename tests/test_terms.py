@@ -1,5 +1,7 @@
 """Syntax layer: parsing, printing, enumeration, serialization."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from engeler.terms import (
     print_term,
     stdlib_lookup,
     term_from_json,
+    term_json,
     term_stats,
     term_to_json,
     var,
@@ -63,14 +66,22 @@ def test_application_associates_left():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "(", ")K", "S(", "S)", "·K", "K·", "f", "x-1", "K((S)", "()",
-     pytest.param("(" * 3000 + "S" + ")" * 3000, id="nested-3000")],
+    ["", "(", ")K", "S(", "S)", "·K", "K·", "f", "x-1", "K((S)", "()"],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as exc:
         parse_term(bad)
     assert isinstance(exc.value.offset, int)
     assert "(byte" in str(exc.value)
+
+
+def test_parse_reads_any_depth():
+    assert parse_term("(" * 3000 + "S" + ")" * 3000) == atom("S")
+    t = var(0)
+    for _ in range(2000):
+        t = app(var(1), t)
+    assert parse_term(print_term(t)) == t
+    assert parse_term(print_term(t, "full")) == t
 
 
 def test_parse_error_offsets_are_bytes():
@@ -208,6 +219,12 @@ def test_round_trip_full(t):
 @given(_terms)
 def test_json_round_trip(t):
     assert term_from_json(term_to_json(t)) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms)
+def test_json_text_matches_json_dumps(t):
+    assert term_json(t) == json.dumps(term_to_json(t))
 
 
 @settings(max_examples=200, deadline=None)
