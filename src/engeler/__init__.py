@@ -19,9 +19,7 @@ from .terms import (  # noqa: F401
     parse_term,
     print_term,
     stdlib_lookup,
-    term_from_json,
     term_stats,
-    term_to_json,
     var,
 )
 from .rewrite import (  # noqa: F401

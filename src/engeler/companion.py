@@ -179,15 +179,6 @@ def companion(sigma: Term, e: GElem, mu: int) -> GElem:
     return next(iter(distinct))
 
 
-def check_companion_closure(sigma: Term, e: GElem) -> bool:
-    """Companions of members stay members (fails only on a genuine
-    counterexample to the closure property)."""
-    mu = choose_mu(e)
-    t = template_of(sigma)
-    cands = companion_candidates(sigma, e, mu)
-    return all(member_via_template(t, c) for _, c in cands)
-
-
 def sweep_closure(max_leaves: int = 4, max_rank: int = 3, set_width: int = 1,
                   max_nat: int = 1, budget: int = 400_000, progress=None):
     """Closure check for every base-rooted element found by bounded

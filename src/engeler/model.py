@@ -314,17 +314,6 @@ def count_g(max_rank: int, max_set_size: int, max_nat: int, limit=None) -> int:
     return p if p <= over else limit + 1
 
 
-def random_gelem(rng, max_rank: int, max_set_size: int, max_nat: int) -> GElem:
-    """Random element within the bounds (not uniformly distributed)."""
-    if max_rank == 0 or rng.random() < 0.35:
-        return nat(rng.randint(0, max_nat))
-    size = rng.randint(0, max_set_size)
-    members = [
-        random_gelem(rng, max_rank - 1, max_set_size, max_nat) for _ in range(size)
-    ]
-    return arrow(gset(members), random_gelem(rng, max_rank - 1, max_set_size, max_nat))
-
-
 # ---------------------------------------------------------------------------
 # Text and JSON forms
 

@@ -1,13 +1,31 @@
 """One-step contraction, leftmost-outermost reduction, and bounded search
 over the full rewrite relation.
 
-`_reducts` is the redex walk that `reduce`, `find_redexes` and `contract`
-read.  On a spine ``h a1 … an`` only the node applying h to exactly its
-arity (from `RULES`) of arguments can be a redex, and it precedes the
-arguments in preorder; so the walk takes each spine apart once, keeps its
-own stack, and yields each reduct leftmost-outermost first, sharing every
-subtree its contraction leaves alone.  A position is a path of
-'left'/'right' moves to the redex node.
+`_reducts` is the redex walk that `find_redexes` and `contract` read.  On
+a spine ``h a1 … an`` only the node applying h to exactly its arity (from
+`RULES`) of arguments can be a redex, and it precedes the arguments in
+preorder; so the walk takes each spine apart once, keeps its own stack,
+and yields each reduct leftmost-outermost first, sharing every subtree its
+contraction leaves alone.  A position is a path of 'left'/'right' moves to
+the redex node.
+
+`reduce` walks the term as a zipper: a *focus*, the spine being
+head-reduced, and a persistent *context* of frames for the spines above
+it, whose heads and arguments left of the hole are already normal.  While
+the focus's head takes all its arguments, the redex is contracted in
+place and nothing outside the focus is rebuilt.  Once the head is a
+variable or takes more arguments than it has, nothing above the focus or
+left of it can change again, because every `RULES` pattern is all
+variables; so the focus moves into the spine's first compound argument,
+then to the next one as each becomes normal, and climbs back out of a
+spine whose arguments are all normal.  A focus position is never
+revisited once left, and the leftmost-outermost redex fixes the focus
+position, so two whole terms of a trace are equal exactly when their foci
+are: the cycle check keeps a set of the foci seen at the current position
+and starts it afresh when the focus moves.  A step holds its focus and
+context, whose frames are those `_plug` and `_path` read, and
+`ReductionStep.term` and `.redex` are built from them the first time
+each is read, so `normal_form` builds no per-step term or path at all.
 
 `reduces_to` explores every redex choice breadth-first under fuel (path
 length) and width (frontier size) bounds, so a negative answer always
@@ -54,21 +72,22 @@ class RedexError(ValueError):
 def _plug(t: Term, nodes, k, ctx) -> Term:
     """The whole term with t in place of nodes[k].  `nodes` lists a spine's
     application nodes top down; the context `ctx` is None at the root, else
-    the (nodes, k, ctx) whose nodes[k].right holds this spine."""
+    a frame (nodes, k, ctx, base) whose hole nodes[k].right holds this
+    spine, with `base` in place of nodes[k].left."""
     while True:
         for j in range(k - 1, -1, -1):
             t = App(t, nodes[j].right)
         if ctx is None:
             return t
-        nodes, k, ctx = ctx
-        t = App(nodes[k].left, t)
+        nodes, k, ctx, base = ctx
+        t = App(base, t)
 
 
 def _path(lefts, ctx) -> tuple:
     """Path of the node `lefts` steps down the spine that `ctx` holds."""
     steps = ["left"] * lefts
     while ctx is not None:
-        _, k, ctx = ctx
+        _, k, ctx, _ = ctx
         steps += ["right"] + ["left"] * k
     return tuple(reversed(steps))
 
@@ -92,7 +111,7 @@ def _reducts(t: Term):
         # the first argument is pushed last, so it is walked first
         for k, n in enumerate(nodes):
             if isinstance(n.right, App):
-                work.append((n.right, (nodes, k, ctx)))
+                work.append((n.right, (nodes, k, ctx, n.left)))
 
 
 def find_redexes(t: Term):
@@ -177,10 +196,41 @@ def one_step_reducts(t: Term):
     return list(_table_reducts(t, {}))
 
 
-@dataclass(frozen=True)
 class ReductionStep:
-    term: Term
-    redex: tuple
+    """One step of a trace: the whole `term` before the step and the path
+    `redex` to the node it contracts.  `reduce` gives the step its focus,
+    the focus's context and `lefts`, how far down the focus's spine the
+    redex lies; the term and the path are built the first time each is
+    read, and kept."""
+
+    __slots__ = ("_focus", "_context", "_lefts", "_term", "_redex")
+
+    def __init__(self, focus: Term, context, lefts: int):
+        self._focus, self._context, self._lefts = focus, context, lefts
+        self._term = self._redex = None
+
+    @property
+    def term(self) -> Term:
+        if self._term is None:
+            self._term = _plug(self._focus, (), 0, self._context)
+        return self._term
+
+    @property
+    def redex(self) -> tuple:
+        if self._redex is None:
+            self._redex = _path(self._lefts, self._context)
+        return self._redex
+
+    def __eq__(self, other):
+        if not isinstance(other, ReductionStep):
+            return NotImplemented
+        return self.redex == other.redex and self.term == other.term
+
+    def __hash__(self):
+        return hash((self.term, self.redex))
+
+    def __repr__(self):
+        return f"ReductionStep(term={self.term!r}, redex={self.redex!r})"
 
 
 @dataclass(frozen=True)
@@ -197,19 +247,63 @@ def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
     term already seen in the trace (cycle-detected).
     """
     steps = []
-    seen = {t}
-    current = t
+    # the focus subterm and its context (a frame as in `_plug`); the foci
+    # seen at this position (None until the first contraction here)
+    focus, context, seen = t, None, None
     while True:
-        first = next(_reducts(current), None)
-        if first is None:
-            return ReductionTrace(tuple(steps), NORMAL_FORM, current)
-        if len(steps) >= fuel:
-            return ReductionTrace(tuple(steps), FUEL_EXHAUSTED, current)
-        steps.append(ReductionStep(current, _path(*first[0])))
-        current = first[1]
-        if current in seen:
-            return ReductionTrace(tuple(steps), CYCLE_DETECTED, current)
-        seen.add(current)
+        nodes = []
+        head = focus
+        while type(head) is App:
+            nodes.append(head)
+            head = head.left
+        if type(head) is Atom:
+            arity, rule = RULES[head.name]
+            lefts = len(nodes) - arity
+            if lefts >= 0:  # nodes[lefts] is the leftmost-outermost redex
+                if len(steps) >= fuel:
+                    return ReductionTrace(tuple(steps), FUEL_EXHAUSTED,
+                                          _plug(focus, (), 0, context))
+                steps.append(ReductionStep(focus, context, lefts))
+                if seen is None:
+                    seen = {focus}
+                focus = rule(*[n.right for n in reversed(nodes[lefts:])])
+                for j in range(lefts - 1, -1, -1):
+                    focus = App(focus, nodes[j].right)
+                # Whole terms are equal iff their foci are: the position
+                # of the leftmost-outermost redex fixes the focus position,
+                # the context is the rest of the term, and the focus never
+                # comes back to a position it has left.
+                if focus in seen:
+                    return ReductionTrace(tuple(steps), CYCLE_DETECTED,
+                                          _plug(focus, (), 0, context))
+                seen.add(focus)
+                continue
+        # The head is a variable or takes more arguments than it has, and
+        # every RULES pattern is all variables, so this spine's head and
+        # whatever lies above or left of it stay as they are.  Move the
+        # focus into the next compound argument, climbing out of each
+        # spine whose arguments are all normal; `base` is the normal
+        # spine built so far, the node itself while nothing changed.
+        base, k, parent = head, len(nodes), context
+        while True:
+            for k in range(k - 1, -1, -1):
+                node = nodes[k]
+                if type(node.right) is App:
+                    break
+                base = node if base is node.left else App(base, node.right)
+            else:
+                if parent is None:
+                    return ReductionTrace(tuple(steps), NORMAL_FORM, base)
+                value = base
+                nodes, k, parent, base = parent
+                node = nodes[k]
+                if base is not node.left or value is not node.right:
+                    node = App(base, value)
+                base = node
+                continue
+            break
+        context = (nodes, k, parent, base)
+        focus, seen = node.right, None
 
 
 def normal_form(t: Term, fuel: int = DEFAULT_FUEL):

@@ -1094,20 +1094,16 @@ def _subsets(xs):
 # constraint checking at match/enumerate time
 
 
-def check_constraints(constraints, b, slack, max_arity=4):
-    """All retained equations hold (for some value of any leftover
-    existential variables) under concrete bindings b."""
-    return all(_constraint_ok(c, b, slack, max_arity) for c in constraints)
-
-
 class _ConstraintCheck:
-    """check_constraints for one template, memoised for one call.
+    """Do all retained equations hold (for some value of any leftover
+    existential variables) under a concrete binding?  Memoised for one
+    call.
 
     A retained equation reads from a concrete binding only the values of
     its own variables, every instance of each.  So each equation's
     verdict is cached on exactly those values, and bindings that differ
     only elsewhere share it.  The equations are still tried in order, so
-    the first False (or raise) is the one check_constraints would give.
+    the first False (or raise) is the one an unmemoised check would give.
     An instance is meant to live for one enumeration, one match or one
     staged application: it never sees a second template, and it is
     dropped with the call.

@@ -302,17 +302,9 @@ def _print_full(t):
 # JSON wire format: {"atom": "S"} | {"var": 0} | {"app": [l, r]}
 
 
-def term_to_json(t: Term):
-    if isinstance(t, Atom):
-        return {"atom": t.name}
-    if isinstance(t, Var):
-        return {"var": t.index}
-    return {"app": [term_to_json(t.left), term_to_json(t.right)]}
-
-
 def term_json(t: Term) -> str:
-    """json.dumps(term_to_json(t)), written with its own stack, so that a
-    term of any depth is written."""
+    """The JSON text of t, written with its own stack, so that a term of
+    any depth is written."""
     out, work = [], [t]
     while work:
         node = work.pop()
@@ -326,19 +318,6 @@ def term_json(t: Term) -> str:
         else:
             out.append(f'{{"var": {node.index}}}')
     return "".join(out)
-
-
-def term_from_json(obj) -> Term:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"bad term object: {obj!r}")
-    if "atom" in obj:
-        return atom(obj["atom"])
-    if "var" in obj:
-        return var(obj["var"])
-    if "app" in obj:
-        left, right = obj["app"]
-        return App(term_from_json(left), term_from_json(right))
-    raise ValueError(f"bad term object: {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +396,6 @@ def enumerate_s_terms(max_leaves: int):
     return enumerate_terms(max_leaves, alphabet=("S",))
 
 
-def catalan(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Standard combinators with K/S definitions
 
@@ -457,13 +429,26 @@ def stdlib_lookup(name: str) -> Term:
 
 def expand_stdlib(t: Term) -> Term:
     """Replace B, I, L, M atoms by their K/S definitions.  J has no such
-    definition here and is rejected."""
-    if isinstance(t, Atom):
-        if t.name in ("K", "S"):
-            return t
-        if t.name == "J":
-            raise ValueError("no K/S definition available for J")
-        return stdlib_lookup(t.name)
-    if isinstance(t, Var):
-        return t
-    return App(expand_stdlib(t.left), expand_stdlib(t.right))
+    definition here and is rejected.  Walks with its own stack, so a term
+    of any depth expands, and keeps each node whose two sides are
+    unchanged, so a K/S term comes back as itself."""
+    done, work = [], [t]
+    while work:
+        node = work.pop()
+        if node is None:  # the App under the marker has both sides done
+            node = work.pop()
+            right = done.pop()
+            left = done[-1]
+            if left is not node.left or right is not node.right:
+                done[-1] = App(left, right)
+            else:
+                done[-1] = node
+        elif type(node) is App:
+            work += (node, None, node.right, node.left)
+        elif type(node) is Atom and node.name != "K" and node.name != "S":
+            if node.name == "J":
+                raise ValueError("no K/S definition available for J")
+            done.append(stdlib_lookup(node.name))
+        else:
+            done.append(node)
+    return done[0]

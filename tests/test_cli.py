@@ -424,9 +424,8 @@ def test_member_of_a_deep_element(capsys, element, answer):
         (("member", "--via", "oracle", "Sx", "({} -> ({} -> 0))"), 3,
          "member: oracle handles closed applicative terms only"),
         (("companion", "Sx", "({0} -> 0)"), 3, "companion: term must be closed"),
-        # a term of any depth parses, but expanding library atoms recurses
-        (("parse", "S(" * 3000 + "S" + ")" * 3000, "--expand"), 1,
-         "engeler: maximum recursion depth exceeded"),
+        # a term of any depth parses and expands
+        (("parse", "S(" * 3000 + "S" + ")" * 3000, "--expand"), 0, "S(S(S(S("),
         # flags and values the parser rejects
         (("template", "SKK", "--no-expand"), 1,
          "engeler: error: unrecognized arguments: --no-expand"),
@@ -476,6 +475,9 @@ def test_member_of_a_deep_element(capsys, element, answer):
 def test_exit_code_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, *argv)
     assert got == code
+    if code == cli.EXIT_OK:  # `prefix` starts the one line on stdout
+        assert err == "" and out.startswith(prefix) and out.count("\n") == 1
+        return
     assert out == ""
     assert err.startswith(prefix)
     assert err.endswith("\n") and err.count("\n") == 1

@@ -10,7 +10,6 @@ from engeler.companion import (
     b0,
     b0_base,
     b_mu,
-    check_companion_closure,
     choose_mu,
     closure_report,
     companion,
@@ -20,7 +19,16 @@ from engeler.companion import (
     sweep_closure,
 )
 from engeler.model import enumerate_g, gelem_to_text, max_nat, nat, parse_gelem
+from engeler.templates import member_via_template, template_of
 from engeler.terms import parse_term
+
+
+def _companions_stay_members(sigma, e):
+    """Every companion candidate of e, a member of sigma's denotation, is a
+    member too (fails only on a counterexample to the closure property)."""
+    t = template_of(sigma)
+    return all(member_via_template(t, c)
+               for _, c in companion_candidates(sigma, e, choose_mu(e)))
 
 
 def test_b0_and_b_mu():
@@ -79,7 +87,7 @@ def test_case_ii_on_s():
     assert companion(sigma, e, 1) == parse_gelem(
         "({({0} -> ({} -> 1))} -> ({} -> ({0} -> 1)))"
     )
-    assert check_companion_closure(sigma, e)
+    assert _companions_stay_members(sigma, e)
 
 
 def test_case_i_on_s():
@@ -92,7 +100,7 @@ def test_case_i_on_s():
     assert {gelem_to_text(c) for _, c in cands} == {
         "({({} -> ({} -> ({0} -> 1)))} -> ({} -> ({} -> ({0} -> 1))))"
     }
-    assert check_companion_closure(sigma, e)
+    assert _companions_stay_members(sigma, e)
 
 
 def test_ambiguous_candidates_at_width_two():
@@ -104,7 +112,7 @@ def test_ambiguous_candidates_at_width_two():
     assert len({c for _, c in cands}) > 1
     with pytest.raises(AmbiguousCompanion):
         companion(sigma, e, choose_mu(e))
-    assert check_companion_closure(sigma, e)
+    assert _companions_stay_members(sigma, e)
 
 
 # ---------------------------------------------------------------------------

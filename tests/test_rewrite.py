@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -156,6 +157,73 @@ def test_deep_term_at_the_default_recursion_limit():
     assert find_redexes(t) == [("right",) * 3000]
     assert reduces_to(t, nf, fuel=5, width=50)
     assert not reduces_to(nf, t, fuel=5, width=50)
+
+
+def _reference_reduce(t, fuel):
+    """Leftmost-outermost reduction one whole term at a time: each step
+    contracts find_redexes(t)[0], and the cycle check keeps every whole
+    term seen.  Returns (outcome, final, [(term, redex), ...])."""
+    steps, seen = [], {t}
+    while True:
+        redexes = find_redexes(t)
+        if not redexes:
+            return NORMAL_FORM, t, steps
+        if len(steps) >= fuel:
+            return FUEL_EXHAUSTED, t, steps
+        steps.append((t, redexes[0]))
+        t = contract(t, redexes[0])
+        if t in seen:
+            return CYCLE_DETECTED, t, steps
+        seen.add(t)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_terms, st.sampled_from([0, 1, 3, 10, 50]))
+@example(parse_term("MM"), 10)  # a cycle at the root
+@example(parse_term("x(MM)"), 10)  # a cycle below a normal head
+@example(parse_term("M(LM)"), 10)  # grows forever
+@example(parse_term("K(MM)(Ix)"), 3)
+@example(parse_term("x(Ix)(K(MM)y)"), 50)
+def test_reduce_matches_reference(t, fuel):
+    tr = reduce(t, fuel)
+    outcome, final, steps = _reference_reduce(t, fuel)
+    assert (tr.outcome, tr.final, len(tr.steps)) == (outcome, final, len(steps))
+    assert [(s.term, s.redex) for s in tr.steps] == steps
+
+
+def test_deep_context_at_the_default_recursion_limit():
+    # x(x(...(Kxy)...)): the redex sits 3,000 levels below a variable spine
+    assert sys.getrecursionlimit() < 3000
+    t, nf = parse_term("Kxy"), parse_term("x")
+    x = var(0)
+    for _ in range(3000):
+        t, nf = app(x, t), app(x, nf)
+    tr = reduce(t)
+    assert tr.outcome == NORMAL_FORM and len(tr.steps) == 1 and tr.final == nf
+    assert tr.steps[0].redex == ("right",) * 3000
+    assert tr.steps[0].term == t
+
+
+def _numeral(n):
+    """The Church numeral c_n = (S B)^n (K I) in K and S."""
+    sb = parse_term("S(S(KS)K)")
+    c = parse_term("K(SKK)")
+    for _ in range(n):
+        c = app(sb, c)
+    return c
+
+
+def test_church_exponent_normalizes_quickly():
+    # c_10 c_2 f x = f^(2^10) x; the normal form is 1,024 levels deep
+    f, x = var(0), var(1)
+    start = time.perf_counter()
+    final, done = normal_form(app(app(app(_numeral(10), _numeral(2)), f), x), fuel=200_000)
+    assert time.perf_counter() - start < 5
+    assert done
+    want = x
+    for _ in range(1024):
+        want = app(f, want)
+    assert final == want
 
 
 def _reference_reaches(x, y, fuel, width):

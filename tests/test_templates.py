@@ -30,10 +30,10 @@ from engeler.templates import (
     Matcher,
     UnionPat,
     _Enumerator,
+    _constraint_ok,
     _quantify,
     apply_template_chain,
     base_template,
-    check_constraints,
     enumerate_template,
     has_singleton_setvar,
     index_append,
@@ -353,6 +353,12 @@ class _UnprunedEnumerator(_Enumerator):
         yield from go(0, b, [])
 
 
+def _check_constraints(constraints, b, slack, max_arity):
+    """All retained equations hold under concrete bindings b, each checked
+    afresh: the reference for the memo in `_ConstraintCheck`."""
+    return all(_constraint_ok(c, b, slack, max_arity) for c in constraints)
+
+
 def _reference_enumeration(t, bounds):
     """enumerate_template with no pruning and no memo: every binding of
     the unpruned enumerator, each checked against every constraint afresh."""
@@ -362,7 +368,7 @@ def _reference_enumeration(t, bounds):
     found = {}
     enum = _UnprunedEnumerator(bounds, budget=float("inf"))
     for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):
-        if v not in found and check_constraints(t.constraints, b, slack, bounds.max_arity):
+        if v not in found and _check_constraints(t.constraints, b, slack, bounds.max_arity):
             found[v] = v
     return sorted(found)
 

@@ -1,6 +1,7 @@
 """Syntax layer: parsing, printing, enumeration, serialization."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from engeler.terms import (
     app,
     atom,
     atoms_used,
-    catalan,
     enumerate_s_terms,
     enumerate_terms,
     expand_stdlib,
@@ -22,10 +22,8 @@ from engeler.terms import (
     parse_term,
     print_term,
     stdlib_lookup,
-    term_from_json,
     term_json,
     term_stats,
-    term_to_json,
     var,
 )
 
@@ -123,12 +121,8 @@ def test_is_closed_and_atoms_used():
 # enumeration
 
 
-def test_catalan_numbers():
-    assert [catalan(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
-
-
 def test_enumerate_s_terms_counts():
-    # shapes with n leaves = catalan(n-1); cumulative 1+1+2+5+14+42 = 65
+    # shapes with n leaves = Catalan(n-1); cumulative 1+1+2+5+14+42 = 65
     assert len(list(enumerate_s_terms(6))) == 65
     assert len(list(enumerate_s_terms(5))) == 23
     assert len(list(enumerate_s_terms(1))) == 1
@@ -145,9 +139,10 @@ def test_enumerate_terms_two_letter_alphabet():
 
 
 def test_enumerate_terms_agrees_with_catalan():
+    catalan = [1, 1, 2, 5, 14]
     for n in range(1, 6):
         exact = [t for t in enumerate_terms(n) if term_stats(t)["size"] == n]
-        assert len(exact) == catalan(n - 1)
+        assert len(exact) == catalan[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +171,53 @@ def test_stdlib_unknown_name():
 
 def test_expand_stdlib_fixed_point_on_sk_terms():
     t = parse_term("S(SK)(KS)")
-    assert expand_stdlib(t) == t
+    assert expand_stdlib(t) is t
+
+
+def test_expand_stdlib_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() < 3000
+    t, want = var(0), var(0)
+    for _ in range(3000):
+        t, want = app(atom("I"), app(t, atom("S"))), app(parse_term("SKK"), app(want, atom("S")))
+    assert expand_stdlib(t) == want
+    assert expand_stdlib(want) is want
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+def _term_to_obj(t):
+    """The JSON object of a term, built by recursion: the reference for
+    `term_json`."""
+    if isinstance(t, Atom):
+        return {"atom": t.name}
+    if isinstance(t, Var):
+        return {"var": t.index}
+    return {"app": [_term_to_obj(t.left), _term_to_obj(t.right)]}
+
+
+def _term_from_obj(obj):
+    """The term a JSON object written by `term_json` stands for."""
+    (kind, value), = obj.items()
+    if kind == "atom":
+        return atom(value)
+    if kind == "var":
+        return var(value)
+    left, right = value
+    return app(_term_from_obj(left), _term_from_obj(right))
+
+
 def test_json_round_trip_golden():
     t = parse_term("SK(Kx)")
-    j = term_to_json(t)
+    j = json.loads(term_json(t))
     assert j == {
         "app": [
             {"app": [{"atom": "S"}, {"atom": "K"}]},
             {"app": [{"atom": "K"}, {"var": 0}]},
         ]
     }
-    assert term_from_json(j) == t
+    assert _term_from_obj(j) == t
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +243,13 @@ def test_round_trip_full(t):
 @settings(max_examples=200, deadline=None)
 @given(_terms)
 def test_json_round_trip(t):
-    assert term_from_json(term_to_json(t)) == t
+    assert _term_from_obj(json.loads(term_json(t))) == t
 
 
 @settings(max_examples=200, deadline=None)
 @given(_terms)
 def test_json_text_matches_json_dumps(t):
-    assert term_json(t) == json.dumps(term_to_json(t))
+    assert term_json(t) == json.dumps(_term_to_obj(t))
 
 
 @settings(max_examples=200, deadline=None)
