@@ -876,7 +876,10 @@ def main(argv=None) -> int:
         print(f"engeler: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        b = exc.bounds
+        print(f"{args.command}: {exc} (steps used {exc.steps}, budget {exc.budget}, "
+              f"bounds rank {b.max_rank}, set size {b.max_set_size}, "
+              f"nat {b.max_nat}, arity {b.max_arity})", file=sys.stderr)
         return EXIT_BOUNDED
     except (TemplateError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ are: the cycle check keeps a set of the foci seen at the current position
 and starts it afresh when the focus moves.  A step holds its focus and
 context, whose frames are those `_plug` and `_path` read, and
 `ReductionStep.term` and `.redex` are built from them the first time
-each is read, so `normal_form` builds no per-step term or path at all.
+each is read.  `reduce` and `normal_form` run the same loop; `normal_form`
+keeps no steps, so it holds only the current focus and its context.
 
 `reduces_to` explores every redex choice breadth-first under fuel (path
 length) and width (frontier size) bounds, so a negative answer always
@@ -247,6 +248,21 @@ def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
     term already seen in the trace (cycle-detected).
     """
     steps = []
+    outcome, final = _leftmost_outermost(t, fuel, steps.append)
+    return ReductionTrace(tuple(steps), outcome, final)
+
+
+def normal_form(t: Term, fuel: int = DEFAULT_FUEL):
+    """(normal form, True) or (last term reached, False).  Keeps no
+    steps, so it holds only the term being reduced."""
+    outcome, final = _leftmost_outermost(t, fuel)
+    return final, outcome == NORMAL_FORM
+
+
+def _leftmost_outermost(t: Term, fuel: int, record=None):
+    """The reduction loop of `reduce`: returns (outcome, final), and
+    passes each step to `record`, when given, before taking it."""
+    taken = 0
     # the focus subterm and its context (a frame as in `_plug`); the foci
     # seen at this position (None until the first contraction here)
     focus, context, seen = t, None, None
@@ -260,10 +276,11 @@ def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
             arity, rule = RULES[head.name]
             lefts = len(nodes) - arity
             if lefts >= 0:  # nodes[lefts] is the leftmost-outermost redex
-                if len(steps) >= fuel:
-                    return ReductionTrace(tuple(steps), FUEL_EXHAUSTED,
-                                          _plug(focus, (), 0, context))
-                steps.append(ReductionStep(focus, context, lefts))
+                if taken >= fuel:
+                    return FUEL_EXHAUSTED, _plug(focus, (), 0, context)
+                taken += 1
+                if record is not None:
+                    record(ReductionStep(focus, context, lefts))
                 if seen is None:
                     seen = {focus}
                 focus = rule(*[n.right for n in reversed(nodes[lefts:])])
@@ -274,8 +291,7 @@ def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
                 # the context is the rest of the term, and the focus never
                 # comes back to a position it has left.
                 if focus in seen:
-                    return ReductionTrace(tuple(steps), CYCLE_DETECTED,
-                                          _plug(focus, (), 0, context))
+                    return CYCLE_DETECTED, _plug(focus, (), 0, context)
                 seen.add(focus)
                 continue
         # The head is a variable or takes more arguments than it has, and
@@ -293,7 +309,7 @@ def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
                 base = node if base is node.left else App(base, node.right)
             else:
                 if parent is None:
-                    return ReductionTrace(tuple(steps), NORMAL_FORM, base)
+                    return NORMAL_FORM, base
                 value = base
                 nodes, k, parent, base = parent
                 node = nodes[k]
@@ -304,12 +320,6 @@ def reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionTrace:
             break
         context = (nodes, k, parent, base)
         focus, seen = node.right, None
-
-
-def normal_form(t: Term, fuel: int = DEFAULT_FUEL):
-    """(normal form, True) or (last term reached, False)."""
-    trace = reduce(t, fuel)
-    return trace.final, trace.outcome == NORMAL_FORM
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,15 @@ class UnsupportedMatch(TemplateError):
 
 
 class BudgetExceeded(TemplateError):
-    pass
+    """An enumeration that needs more steps than its budget allows.
+
+    `steps` is how many it had taken when it stopped, `budget` its limit
+    and `bounds` the bounds it ran under.
+    """
+
+    def __init__(self, message, steps, budget, bounds):
+        super().__init__(message)
+        self.steps, self.budget, self.bounds = steps, budget, bounds
 
 
 class _Clash(Exception):
@@ -1010,31 +1018,29 @@ class Matcher:
             if gs is None:
                 all_ground = False
             inst.append((body_i, gs))
+        members = frozenset(g)
         if all_ground:
-            acc = []
-            for _, gs in inst:
-                acc.extend(gs)
-            if gset(acc) == g:
+            if members == frozenset().union(*(gs for _, gs in inst)):
                 yield b
             return
         if len(g) > 4 or n > 4:
             raise UnsupportedMatch("union family too wide to search")
-        subsets = list(_subsets(list(g)))
+        subsets = [gset(sub) for sub in _subsets(list(g))]
 
         def go(i, bb, acc):
             if i == n:
-                if gset(acc) == g:
+                if acc == members:
                     yield bb
                 return
             body_i, gs = inst[i]
             if gs is not None:
-                yield from go(i + 1, bb, acc + list(gs))
+                yield from go(i + 1, bb, acc.union(gs))
                 return
             for sub in subsets:
-                for b1 in self.match_set(_concretize(body_i, bb), gset(sub), bb):
-                    yield from go(i + 1, b1, acc + list(sub))
+                for b1 in self.match_set(_concretize(body_i, bb), sub, bb):
+                    yield from go(i + 1, b1, acc.union(sub))
 
-        yield from go(0, b, [])
+        yield from go(0, b, frozenset())
 
     def _match_union(self, p, g, b):
         ground_parts = []
@@ -1099,49 +1105,105 @@ class _ConstraintCheck:
     existential variables) under a concrete binding?  Memoised for one
     call.
 
-    A retained equation reads from a concrete binding only the values of
-    its own variables, every instance of each.  So each equation's
-    verdict is cached on exactly those values, and bindings that differ
-    only elsewhere share it.  The equations are still tried in order, so
-    the first False (or raise) is the one an unmemoised check would give.
-    An instance is meant to live for one enumeration, one match or one
-    staged application: it never sees a second template, and it is
-    dropped with the call.
+    A side of a retained equation reads from a concrete binding only the
+    values of its own variables, every instance of each.  So each side is
+    concretized once per distinct set of those values, and each
+    equation's verdict, a raise included, is cached on the values both
+    sides read: bindings that differ only elsewhere share them.  The
+    equations are still tried in order, so the first False (or raise) is
+    the one an unmemoised check would give.  The instances of families
+    and binders that the equations expand depend only on the template, so
+    they are built once each and kept in a table.  An instance is meant
+    to live for one enumeration, one match or one staged application: it
+    never sees a second template, and it is dropped with the call.
     """
 
     def __init__(self, constraints, slack, max_arity=4):
         self.constraints = constraints
         self.slack = slack
         self.max_arity = max_arity
-        self.names = [_constraint_names(c) for c in constraints]
+        self.reads = [_reads(c) for c in constraints]
         self.memo = {}
+        self.sides = {}  # (side, the values it reads) -> its concretized form
+        self.instances = {}  # (pattern, binder, index) -> its instance
 
     def __call__(self, b):
-        for i, c in enumerate(self.constraints):
-            key = (i, _binding_slice(b, self.names[i]))
-            ok = self.memo.get(key)
-            if ok is None:
-                ok = self.memo[key] = _constraint_ok(c, b, self.slack, self.max_arity)
-            if not ok:
-                return False
+        for i in range(len(self.constraints)):
+            ok = self._verdict(i, b)
+            if ok is not True:
+                if ok is False:
+                    return False
+                raise ok
         return True
 
+    def refutes(self, indices, b):
+        """Does one of these equations fail under b?  One that raises is
+        undecided here; the full check raises it in its turn."""
+        return any(self._verdict(i, b) is False for i in indices)
 
-def _constraint_names(c):
-    """The (kind, name) pairs of the variables a constraint reads; their
-    instances differ only in their index."""
-    keys = [*free_vars(c.left), *free_vars(c.right)]
-    keys += [ar.key for _, ar in c.binders if isinstance(ar, AVar)]
-    return frozenset(key[:2] for key in keys)
+    def _verdict(self, i, b):
+        """True, False or the TemplateError that equation i raises."""
+        reads = self.reads[i]
+        left, right = [], []
+        for item in b.items():
+            side = reads.get(item[0][1])
+            if side:
+                if side & _LEFT:
+                    left.append(item)
+                if side & _RIGHT:
+                    right.append(item)
+        left, right = frozenset(left), frozenset(right)
+        key = (i, left, right)
+        ok = self.memo.get(key)
+        if ok is None:
+            values = {_LEFT: left, _RIGHT: right}
+
+            def side(p, which):
+                key = (p, values[which])
+                q = self.sides.get(key)
+                if q is None:
+                    q = self.sides[key] = normalize(_concretize(p, b, self._instance))
+                return q
+
+            try:
+                ok = _constraint_ok(self.constraints[i], b, self.slack, self.max_arity,
+                                    self._instance, side)
+            except TemplateError as exc:
+                ok = exc
+            self.memo[key] = ok
+        return ok
+
+    def _instance(self, p, binder, i):
+        key = (p, binder, i)
+        q = self.instances.get(key)
+        if q is None:
+            q = self.instances[key] = reindex(p, binder, i)
+        return q
 
 
-def _binding_slice(b, names):
-    """The part of concrete binding b that a constraint with these names
-    reads, as a hashable value."""
-    return frozenset((k, v) for k, v in b.items() if k[:2] in names)
+_LEFT, _RIGHT = 1, 2
 
 
-def _constraint_ok(c, b, slack, max_arity):
+def _reads(c):
+    """The names of the variables that constraint c reads, each mapped to
+    the sides that read it (_LEFT, _RIGHT or both).  A binder's arity is
+    read by both.  Instances of a variable differ only in their index, and
+    a binding key is (kind, name, index)."""
+    reads = {}
+    for side, p in ((_LEFT, c.left), (_RIGHT, c.right)):
+        for key in free_vars(p):
+            reads[key[1]] = reads.get(key[1], 0) | side
+    for _, ar in c.binders:
+        if isinstance(ar, AVar):
+            reads[ar.name] = _LEFT | _RIGHT
+    return reads
+
+
+def _constraint_ok(c, b, slack, max_arity, inst, side):
+    """Does retained equation c hold under concrete binding b?  inst(p,
+    binder, i) is p's instance at index i, as `reindex` builds it, and
+    side(p, which) is what `normalize` and `_concretize` make of p, the
+    _LEFT or _RIGHT side of c or of one of its instances."""
     if c.binders:
         (binder, arity), rest = c.binders[0], c.binders[1:]
         a = resolve_arity(arity, b)
@@ -1149,17 +1211,14 @@ def _constraint_ok(c, b, slack, max_arity):
         for n in candidates:
             ok = True
             for i in range(1, n + 1):
-                sub = Constraint(
-                    rest, reindex(c.left, binder, i), reindex(c.right, binder, i)
-                )
-                if not _constraint_ok(sub, b, slack, max_arity):
+                sub = Constraint(rest, inst(c.left, binder, i), inst(c.right, binder, i))
+                if not _constraint_ok(sub, b, slack, max_arity, inst, side):
                     ok = False
                     break
             if ok:
                 return True
         return False
-    left = normalize(_concretize(c.left, b))
-    right = normalize(_concretize(c.right, b))
+    left, right = side(c.left, _LEFT), side(c.right, _RIGHT)
     gl, gr = ground_set(left), ground_set(right)
     if gl is not None and gr is not None:
         return gl == gr
@@ -1173,32 +1232,50 @@ def _constraint_ok(c, b, slack, max_arity):
     )
 
 
-def _concretize(p, b):
+def _concretize(p, b, inst=reindex):
     """Put the value that concrete binding b gives each variable in its
-    place, and expand each family whose arity b fixes."""
+    place, expand each family whose arity b fixes, taking its instances
+    from inst (as in `_constraint_ok`), and give each part that is then
+    ground as its value: a concrete element or set is the ground pattern
+    that spells it out."""
     if isinstance(p, (EVar, SVar)):
         v = b.get(p.key)
         return p if v is None else v
     if isinstance(p, (GElem, GSet)):
         return p
     if isinstance(p, ArrowPat):
-        return ArrowPat(_concretize(p.ante, b), _concretize(p.cons, b))
-    if isinstance(p, ExplicitPat):
-        return ExplicitPat(tuple(_concretize(m, b) for m in p.members))
+        ante, cons = _concretize(p.ante, b, inst), _concretize(p.cons, b, inst)
+        if isinstance(ante, GSet) and isinstance(cons, GElem):
+            return Arrow(ante, cons)
+        return ArrowPat(ante, cons)
     if isinstance(p, FamilyPat):
         ar = resolve_arity(p.arity, b)
-        if isinstance(ar, int):
-            insts = tuple(
-                _concretize(reindex(p.body, p.binder, i), b)
-                for i in range(1, ar + 1)
-            )
-            if isinstance(p.body, ELEM_PATS):
-                return normalize(ExplicitPat(insts))
-            return normalize(UnionPat(insts)) if insts else ExplicitPat(())
-        return normalize(FamilyPat(ar, p.binder, _concretize(p.body, b)))
+        if not isinstance(ar, int):
+            return normalize(FamilyPat(ar, p.binder, _concretize(p.body, b, inst)))
+        parts = tuple(_concretize(inst(p.body, p.binder, i), b, inst)
+                      for i in range(1, ar + 1))
+        if isinstance(p.body, ELEM_PATS):
+            v = _ground_value(parts, GElem)
+            return normalize(ExplicitPat(parts)) if v is None else v
+        v = _ground_value(parts, GSet)
+        return normalize(UnionPat(parts)) if v is None else v
+    if isinstance(p, ExplicitPat):
+        parts = tuple(_concretize(m, b, inst) for m in p.members)
+        v = _ground_value(parts, GElem)
+        return ExplicitPat(parts) if v is None else v
     if isinstance(p, UnionPat):
-        return UnionPat(tuple(_concretize(q, b) for q in p.parts))
+        parts = tuple(_concretize(q, b, inst) for q in p.parts)
+        v = _ground_value(parts, GSet)
+        return UnionPat(parts) if v is None else v
     raise TypeError(f"not a pattern: {p!r}")
+
+
+def _ground_value(parts, kind):
+    """The set that concrete parts, all elements or all sets (`kind`),
+    list or join, or None if one of them is not concrete."""
+    if not all(isinstance(q, kind) for q in parts):
+        return None
+    return gset(parts if kind is GElem else itertools.chain.from_iterable(parts))
 
 
 def _matches_set(matcher, pattern, value, b):
@@ -1281,19 +1358,35 @@ def _pool_subsets(rank, set_size, max_nat):
 
 
 class _Enumerator:
-    def __init__(self, bounds: Bounds, budget=2_000_000):
+    """The (value, binding) pairs of element and set patterns within the
+    bounds, antecedents first, by backtracking over one binding.
+
+    With a `check` and its `plan` (see `_check_plan`), a branch is cut as
+    soon as it refutes a retained constraint whose variables it has all
+    bound.  A generator given `allowed`, a set of elements, yields only
+    the pairs whose element lies in it or whose set lies inside it, in the
+    order it would yield them without it.
+    """
+
+    def __init__(self, bounds: Bounds, budget=2_000_000, check=None, plan=None):
         self.bounds = bounds
         self.budget = budget
         self.steps = 0
+        self.check = check
+        self.plan = plan or {}
         self._instances = {}  # (family, arity) -> its instance patterns
         self._sized = set()  # pool ranks already checked against the budget
+        self._subsets = {}  # (allowed, rank) -> the pool's sets inside allowed
+        self._floors = {}  # pattern -> `_rank_floor`
+
+    def _exceeded(self, detail=""):
+        return BudgetExceeded(f"template enumeration exceeded {self.budget} steps{detail}",
+                              self.steps, self.budget, self.bounds)
 
     def _tick(self):
         self.steps += 1
         if self.steps > self.budget:
-            raise BudgetExceeded(
-                f"template enumeration exceeded {self.budget} steps"
-            )
+            raise self._exceeded()
 
     def _pool_rank(self, depth):
         """The rank of the pool that a variable at this depth ranges over.
@@ -1303,76 +1396,119 @@ class _Enumerator:
             bounds = self.bounds
             if count_g(rank, bounds.max_set_size, bounds.max_nat,
                        limit=self.budget) > self.budget:
-                raise BudgetExceeded(
-                    f"template enumeration exceeded {self.budget} steps: the "
-                    f"rank-{rank} pool has more than {self.budget} elements"
-                )
+                raise self._exceeded(
+                    f": the rank-{rank} pool has more than {self.budget} elements")
             self._sized.add(rank)
         return rank
 
-    def gen_elem(self, p, depth, b):
+    def gen_elem(self, p, depth, b, allowed=None):
         self._tick()
         bounds = self.bounds
         if isinstance(p, EVar):
             cur = b.get(p.key)
             if cur is not None:
-                if cur.rank <= depth:
+                if cur.rank <= depth and (allowed is None or cur in allowed):
                     yield cur, b
                 return
-            for v in universe(self._pool_rank(depth), bounds.max_set_size,
-                              bounds.max_nat):
+            rank = self._pool_rank(depth)
+            if allowed is None:
+                values = universe(rank, bounds.max_set_size, bounds.max_nat)
+            else:
+                values = _in_pool_order(allowed, rank)
+            for v in values:
                 b2 = dict(b)
                 b2[p.key] = v
                 yield v, b2
             return
         if isinstance(p, GElem):
-            if self._fits(p, max_width(p), depth):
+            if (allowed is None or p in allowed) and self._fits(p, max_width(p), depth):
                 yield p, b
             return
         if isinstance(p, ArrowPat):
-            if depth < 1:
-                return
-            for aset, b1 in self.gen_set(p.ante, depth - 1, b):
-                for c, b2 in self.gen_elem(p.cons, depth - 1, b1):
+            if depth < self._rank_floor(p):
+                return  # every value of p has a higher rank
+            ante_allowed = cons_allowed = None
+            if allowed is not None:
+                # an allowed arrow's antecedent, and the consequents that
+                # go with each
+                conses = {}
+                for x in allowed:
+                    if isinstance(x, Arrow):
+                        conses.setdefault(x.ante, set()).add(x.cons)
+                if not conses:
+                    return
+                ante_allowed = frozenset().union(*conses)
+            ante_checks, cons_checks = self.plan.get(p, _NO_CHECKS)
+            for aset, b1 in self.gen_set(p.ante, depth - 1, b, ante_allowed):
+                if allowed is not None:
+                    cons_allowed = conses.get(aset)
+                    if cons_allowed is None:
+                        continue
+                if ante_checks and self.check.refutes(ante_checks, b1):
+                    continue
+                for c, b2 in self.gen_elem(p.cons, depth - 1, b1, cons_allowed):
+                    if cons_checks and self.check.refutes(cons_checks, b2):
+                        continue
                     yield Arrow(aset, c), b2
             return
         raise TemplateError(f"cannot enumerate element pattern {type(p).__name__}")
 
-    def gen_set(self, p, depth, b):
+    def gen_set(self, p, depth, b, allowed=None):
         self._tick()
         bounds = self.bounds
         if isinstance(p, SVar):
             cur = b.get(p.key)
             if cur is not None:
-                if all(x.rank <= depth for x in cur):
+                if (all(x.rank <= depth for x in cur)
+                        and (allowed is None or allowed.issuperset(cur))):
                     yield cur, b
                 return
-            for val in _pool_subsets(self._pool_rank(depth),
-                                     bounds.max_set_size, bounds.max_nat):
+            rank = self._pool_rank(depth)
+            if allowed is None:
+                values = _pool_subsets(rank, bounds.max_set_size, bounds.max_nat)
+            else:
+                values = self._allowed_subsets(allowed, rank)
+            for val in values:
                 self._tick()
                 b2 = dict(b)
                 b2[p.key] = val
                 yield val, b2
             return
         if isinstance(p, GSet):
-            if self._fits(p, max((len(p), *map(max_width, p))), depth):
+            if ((allowed is None or allowed.issuperset(p))
+                    and self._fits(p, max((len(p), *map(max_width, p))), depth)):
                 yield p, b
             return
         if isinstance(p, ExplicitPat):
-            yield from self._gen_union(p.members, depth, b)
+            yield from self._gen_union(p.members, depth, b, allowed)
             return
         if isinstance(p, FamilyPat):
             ar = resolve_arity(p.arity, b)
             if isinstance(ar, int):
-                yield from self._gen_family(p, ar, depth, b)
+                yield from self._gen_family(p, ar, depth, b, allowed)
                 return
             for n in range(_amin(b, ar), bounds.max_arity + 1):
-                yield from self._gen_family(p, n, depth, {**b, ar.key: n})
+                yield from self._gen_family(p, n, depth, {**b, ar.key: n}, allowed)
             return
         if isinstance(p, UnionPat):
-            yield from self._gen_union(p.parts, depth, b)
+            yield from self._gen_union(p.parts, depth, b, allowed)
             return
         raise TemplateError(f"cannot enumerate set pattern {type(p).__name__}")
+
+    def _rank_floor(self, p):
+        """A lower bound on the rank of every value of pattern p: an arrow
+        is one above its parts, a listing or union at least each part, a
+        family may have no instances."""
+        floor = self._floors.get(p)
+        if floor is None:
+            if isinstance(p, ArrowPat):
+                floor = 1 + max(self._rank_floor(p.ante), self._rank_floor(p.cons))
+            elif isinstance(p, (GElem, GSet)):
+                floor = p.rank
+            else:
+                floor = max(map(self._rank_floor, _parts(p)), default=0)
+            self._floors[p] = floor
+        return floor
 
     def _fits(self, v, width, depth):
         """Does value v, whose widest set has `width` members, lie within
@@ -1381,18 +1517,31 @@ class _Enumerator:
         return (v.rank <= depth and v.max_nat <= bounds.max_nat
                 and width <= bounds.max_set_size)
 
-    def _gen_family(self, p, n, depth, b):
+    def _allowed_subsets(self, allowed, rank):
+        """The sets of `_pool_subsets` at this rank whose members all lie
+        in allowed, in the same order."""
+        key = (allowed, rank)
+        sets = self._subsets.get(key)
+        if sets is None:
+            members = _in_pool_order(allowed, rank)
+            sizes = range(min(self.bounds.max_set_size, len(members)) + 1)
+            sets = self._subsets[key] = [
+                gset(combo) for k in sizes for combo in itertools.combinations(members, k)]
+        return sets
+
+    def _gen_family(self, p, n, depth, b, allowed=None):
         insts = self._instances.get((p, n))
         if insts is None:
             insts = self._instances[p, n] = []
             for i in range(1, n + 1):
                 insts.append(reindex(p.body, p.binder, i))
-        yield from self._gen_union(insts, depth, b)
+        yield from self._gen_union(insts, depth, b, allowed)
 
-    def _gen_union(self, parts, depth, b):
+    def _gen_union(self, parts, depth, b, allowed=None):
         """The union of the parts' values (an element part adds itself),
         each branch cut as soon as the union so far has more than
-        max_set_size members: the final union could only be larger."""
+        max_set_size members: the final union could only be larger.  Once
+        the union is full, a part may only take members it already has."""
         cap = self.bounds.max_set_size
         last = len(parts)
 
@@ -1401,24 +1550,84 @@ class _Enumerator:
                 yield _union_value(acc, big), bb
                 return
             part = parts[idx]
+            room = acc if len(acc) == cap else allowed
             if isinstance(part, ELEM_PATS):
-                for v, b1 in self.gen_elem(part, depth, bb):
+                for v, b1 in self.gen_elem(part, depth, bb, room):
                     acc1 = acc | {v}
                     if len(acc1) <= cap:
                         yield from go(idx + 1, b1, acc1, big)
             else:
-                for s, b1 in self.gen_set(part, depth, bb):
+                for s, b1 in self.gen_set(part, depth, bb, room):
                     acc1 = acc.union(s)
                     if len(acc1) <= cap:
-                        yield from go(idx + 1, b1, acc1, max(big, s, key=len))
+                        yield from go(idx + 1, b1, acc1, s if len(s) > len(big) else big)
 
         yield from go(0, b, frozenset(), EMPTY_SET)
+
+
+_NO_CHECKS = ((), ())
+
+
+def _in_pool_order(allowed, rank):
+    """The members of allowed of at most this rank, in the order of the
+    pool that `universe` lists: by rank, canonically within a rank.
+    Every value the enumerator builds lies within its bounds, so these are
+    the pool's members that lie in allowed."""
+    return sorted((v for v in allowed if v.rank <= rank), key=lambda v: (v.rank, v))
 
 
 def _union_value(acc, big):
     """The canonical set of the members in acc.  big is the largest part
     that went into acc, so it is that set when it has as many members."""
     return big if len(big) == len(acc) else gset(acc)
+
+
+@lru_cache(maxsize=None)
+def _check_plan(t: Template):
+    """Where enumeration checks each of t's retained constraints early.
+
+    Returns a map from arrow patterns of t's root to the indices of the
+    constraints checked as soon as the arrow's antecedent, and as soon as
+    its consequent, is bound.  A constraint is checked at the arrow side
+    that binds the last root node mentioning one of its variables: the
+    innermost such side outside every family, whose instances are bound
+    one at a time.  From there on the binding gives the constraint's
+    variables the values the finished binding gives them, and its verdict
+    depends on nothing else, so a False there is the root check's False.
+    A side on the root's consequent spine ends where the root does, and
+    the root check follows it at once, so it gets no check of its own.
+    """
+    root = t.root
+    if not t.constraints or not isinstance(root, ArrowPat):
+        return {}
+    # each variable node in walk order, with the side that binds it
+    found = []
+    stack = [(root, None, False)]
+    while stack:
+        p, side, in_family = stack.pop()
+        if isinstance(p, _Var):
+            found.append((p.name, side))
+        elif isinstance(p, ArrowPat) and not in_family:
+            stack.append((p.cons, (p, 1), False))
+            stack.append((p.ante, (p, 0), False))
+        elif isinstance(p, FamilyPat):
+            stack.append((p.body, side, True))
+            if isinstance(p.arity, AVar):
+                stack.append((p.arity, side, in_family))
+        else:
+            stack.extend((q, side, in_family) for q in reversed(_parts(p)))
+    spine = set()
+    p = root
+    while isinstance(p, ArrowPat):
+        spine.add((p, 1))
+        p = p.cons
+    plan = {}
+    for i, c in enumerate(t.constraints):
+        reads = _reads(c)
+        side = next((s for name, s in reversed(found) if name in reads), (root, 0))
+        if side not in spine:
+            plan.setdefault(side[0], ([], []))[side[1]].append(i)
+    return {p: (tuple(ante), tuple(cons)) for p, (ante, cons) in plan.items()}
 
 
 def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
@@ -1431,20 +1640,32 @@ def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
     and one per set tried for a set variable); a run that needs more
     raises BudgetExceeded.  So does a variable whose pool of elements is
     larger than the budget: the pool's size is counted, up to the budget,
-    before any of it is built.  A branch is cut as soon as a partial set has
-    more than max_set_size distinct members, and steps count only the
-    work actually done, so the cut branches cost no budget.  Each
-    retained constraint's verdict is memoised for the life of one call,
-    keyed on the values the binding gives to that constraint's own
-    variables.
+    before any of it is built.  Steps count only the work actually done,
+    so a branch that is cut early costs no more budget.
+
+    Branches are cut in three ways, all exact:
+    - An arrow pattern whose values all have a rank above the depth left
+      is not enumerated: it could yield nothing.
+    - A branch is cut as soon as a partial set has more than max_set_size
+      distinct members: the final set could only be larger.  Once a set
+      holds max_set_size members, the rest of it is built only from those
+      members, so nothing is built that this cut would drop.
+    - Each retained constraint is checked as soon as the branch has bound
+      every root variable it reads (`_check_plan`), and the branch is cut
+      when it fails.  The constraint's verdict depends only on its own
+      variables' values, which nothing later changes.  A constraint that
+      raises there cuts nothing and raises nothing.
+    Every binding that survives is then checked against all retained
+    constraints in order, so the first that fails or raises decides.  Each constraint's verdict is memoised for the life of one
+    call, keyed on the values the binding gives to its own variables.
     """
     if t.is_empty:
         return [], False
-    enum = _Enumerator(bounds, budget)
-    out = []
-    seen = set()
     slack = max(bounds.max_set_size, bounds.max_arity)
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
+    enum = _Enumerator(bounds, budget, check, _check_plan(t))
+    out = []
+    seen = set()
     for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):
         if v in seen:
             continue
@@ -1477,7 +1698,7 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
     cap = max(bounds.max_set_size, bounds.max_arity)
     truncated = False
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
-    names = frozenset().union(*check.names)
+    names = frozenset().union(*check.reads)
 
     # a state's pattern is concretized once, under the state's binding
     states = [(_concretize(t.root, {}), {})]
@@ -1486,14 +1707,14 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
         for pat, b in states:
             if isinstance(pat, EVar):
                 return [], True  # unconstrained head: nothing exact to say
-            if not isinstance(pat, ArrowPat):
+            if not isinstance(pat, (ArrowPat, Arrow)):
                 continue  # naturals never apply
             for b1 in _match_ante(matcher, pat.ante, n_set, b, cap):
                 nxt.append((_concretize(pat.cons, b1), b1))
         seen = set()
         states = []
         for pat, b in nxt:
-            key = pat_key(pat), _binding_slice(b, names)
+            key = pat_key(pat), frozenset(kv for kv in b.items() if kv[0][1] in names)
             if key not in seen:
                 seen.add(key)
                 states.append((pat, b))

@@ -164,8 +164,10 @@ def test_enumerate(capsys):
 
 
 def test_enumerate_budget_exceeded(capsys):
-    code, _, _ = run(capsys, "enumerate", "SS", "--budget", "100")
+    code, _, err = run(capsys, "enumerate", "S", "--budget", "100")
     assert code == 2
+    assert err == ("enumerate: template enumeration exceeded 100 steps (steps used "
+                   "101, budget 100, bounds rank 3, set size 2, nat 1, arity 3)\n")
 
 
 def test_enumerate_unsupported_match_is_semantic_error(capsys):
@@ -441,7 +443,7 @@ def test_member_of_a_deep_element(capsys, element, answer):
         (("verify-paper", "--case", "nope"), 1, "verify-paper: unknown case 'nope'"),
         (("apply", "no-such-set-file.txt", "no-such-set-file.txt"), 1,
          "engeler: [Errno 2] No such file or directory"),
-        (("enumerate", "SS", "--budget", "100"), 2,
+        (("enumerate", "S", "--budget", "100"), 2,
          "enumerate: template enumeration exceeded 100 steps"),
         # a pool larger than the budget is found before it is built
         (("enumerate", "S", "--max-rank", "5", "--budget", "1000"), 2,

@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -224,6 +225,21 @@ def test_church_exponent_normalizes_quickly():
     for _ in range(1024):
         want = app(f, want)
     assert final == want
+
+
+def test_normal_form_keeps_no_steps():
+    # c_8 c_2 f x takes about 5,400 steps; a trace of them held 2.4 MB
+    # (tracemalloc), while the term being reduced needs well under one
+    f, x = var(0), var(1)
+    t = app(app(app(_numeral(8), _numeral(2)), f), x)
+    tracemalloc.start()
+    try:
+        final, done = normal_form(t, fuel=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert done and (final, True) == (reduce(t, fuel=200_000).final, done)
+    assert peak < 1_000_000
 
 
 def _reference_reaches(x, y, fuel, width):

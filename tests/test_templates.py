@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from engeler.companion import b0_base, closure_report
+from engeler.oracle import member_oracle
 from engeler.model import (
     Bounds, GElem, count_g, enumerate_g, gset, max_width, nat, parse_gelem, rank,
 )
@@ -29,12 +30,17 @@ from engeler.templates import (
     TemplateError,
     Matcher,
     UnionPat,
+    UnsupportedMatch,
+    _ConstraintCheck,
     _Enumerator,
+    _check_plan,
+    _concretize,
     _constraint_ok,
     _quantify,
     apply_template_chain,
     base_template,
     enumerate_template,
+    ground_set,
     has_singleton_setvar,
     index_append,
     instantiate,
@@ -266,11 +272,18 @@ def test_enumerate_k_narrow():
 def test_enumerate_ss_has_no_rank3_members():
     elems, _ = enumerate_template(template_of(parse_term("SS")), Bounds(3, 1, 1))
     assert elems == []
+    # SS's consequent is an arrow whose antecedent lists an arrow of rank 2,
+    # so every member has rank 4 or more and nothing below rank 4 is built
+    enum = _Enumerator(Bounds(3, 2, 1), budget=100)
+    assert list(enum.gen_elem(template_of(parse_term("SS")).root, 3, {})) == []
+    assert enum.steps == 1
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_template(template_of(parse_term("SS")), Bounds(3, 2, 1), budget=1000)
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_template(template_of(parse_term("S")), Bounds(3, 2, 1), budget=1000)
+    exc = info.value
+    assert (exc.steps, exc.budget, exc.bounds) == (1001, 1000, Bounds(3, 2, 1))
 
 
 @pytest.mark.parametrize("text, bounds", [
@@ -318,7 +331,8 @@ class _UnprunedEnumerator(_Enumerator):
     """The enumerator with no pruning: every set pattern builds its whole
     value and only then drops it for being too wide."""
 
-    def gen_set(self, p, depth, b):
+    def gen_set(self, p, depth, b, allowed=None):
+        assert allowed is None  # nothing here restricts a value
         size = self.bounds.max_set_size
         if isinstance(p, SVar) and p.key not in b:
             pool = tuple(enumerate_g(min(depth, self.bounds.max_rank), size,
@@ -333,7 +347,7 @@ class _UnprunedEnumerator(_Enumerator):
             return
         yield from super().gen_set(p, depth, b)
 
-    def _gen_family(self, p, n, depth, b):
+    def _gen_family(self, p, n, depth, b, allowed=None):
         insts = [reindex(p.body, p.binder, i) for i in range(1, n + 1)]
         yield from self._all(insts, depth, b, self.bounds.max_set_size)
 
@@ -355,8 +369,11 @@ class _UnprunedEnumerator(_Enumerator):
 
 def _check_constraints(constraints, b, slack, max_arity):
     """All retained equations hold under concrete bindings b, each checked
-    afresh: the reference for the memo in `_ConstraintCheck`."""
-    return all(_constraint_ok(c, b, slack, max_arity) for c in constraints)
+    afresh: the reference for the memos in `_ConstraintCheck`."""
+    def side(p, _):
+        return normalize(_concretize(p, b))
+
+    return all(_constraint_ok(c, b, slack, max_arity, reindex, side) for c in constraints)
 
 
 def _reference_enumeration(t, bounds):
@@ -400,12 +417,146 @@ def test_enumeration_matches_reference(bounds):
     assert listing > 20
 
 
-@pytest.mark.parametrize("text", ["SSS", "SS(SS)S", "S(SSS)S", "S(S(SSS))"])
+# Each of these but SSS, SS(SS)S and SS(SSS) keeps retained constraints,
+# checked once its antecedent side is bound, so the early check, the memo
+# and the room left in a full union all take part.
+@pytest.mark.parametrize("text", [
+    "SSS", "SS(SS)S", "SS(SSS)", "S(SSS)S", "S(S(SSS))", "S(S(SS))", "S(S(SS)S)",
+    "SS(S(SS))", "S(S(S(SS)))",
+])
 def test_rank3_enumeration_matches_reference(text):
-    # S(SSS)S and S(S(SSS)) keep retained constraints, so the memo is used
     t = template_of(parse_term(text))
     bounds = Bounds(3, 1, 0)
     assert enumerate_template(t, bounds)[0] == _reference_enumeration(t, bounds)
+
+
+@pytest.mark.parametrize("text", ["SSS(SS)", "S(S(SS))S"])
+def test_rank2_enumeration_with_constraints_matches_reference(text):
+    t = template_of(parse_term(text))
+    bounds = Bounds(2, 1, 0)
+    assert _check_plan(t)
+    assert enumerate_template(t, bounds)[0] == _reference_enumeration(t, bounds)
+
+
+def _recording_enumerators(monkeypatch):
+    """The enumerators that enumerate_template makes from now on."""
+    import engeler.templates as templates
+
+    made = []
+
+    class Recording(_Enumerator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(templates, "_Enumerator", Recording)
+    return made
+
+
+def test_early_checks_cut_enumeration_steps(monkeypatch):
+    # checking each candidate of S(SSS)S at (3,1,0) only once it is built
+    # whole takes 16,257 steps
+    made = _recording_enumerators(monkeypatch)
+    t = template_of(parse_term("S(SSS)S"))
+    assert _check_plan(t)  # a constraint is checked before the root
+    elems, _ = enumerate_template(t, Bounds(3, 1, 0))
+    assert elems == _reference_enumeration(t, Bounds(3, 1, 0))
+    assert made[0].steps < 16_257
+
+
+def test_early_check_decides_where_a_later_constraint_raises():
+    # the full check of every candidate reaches a constraint that the
+    # matcher cannot decide, but an earlier-bound one refutes each first
+    t = template_of(parse_term("S(SSS(SS))"))
+    with pytest.raises(UnsupportedMatch):
+        _reference_enumeration(t, Bounds(3, 1, 0))
+    assert enumerate_template(t, Bounds(3, 1, 0)) == ([], True)
+
+
+def _spelled_out(p, b):
+    """p with each variable's value in its place and each family whose
+    arity b fixes expanded, nothing folded into a value: the reference
+    for `_concretize`."""
+    if isinstance(p, (EVar, SVar)):
+        return b.get(p.key, p)
+    if isinstance(p, ArrowPat):
+        return ArrowPat(_spelled_out(p.ante, b), _spelled_out(p.cons, b))
+    if isinstance(p, ExplicitPat):
+        return ExplicitPat(tuple(_spelled_out(m, b) for m in p.members))
+    if isinstance(p, UnionPat):
+        return UnionPat(tuple(_spelled_out(q, b) for q in p.parts))
+    if isinstance(p, FamilyPat):
+        ar = p.arity if isinstance(p.arity, int) else b.get(p.arity.key, p.arity)
+        if not isinstance(ar, int):
+            return normalize(FamilyPat(ar, p.binder, _spelled_out(p.body, b)))
+        insts = tuple(_spelled_out(reindex(p.body, p.binder, i), b) for i in range(1, ar + 1))
+        if isinstance(p.body, ELEM_PATS):
+            return normalize(ExplicitPat(insts))
+        return normalize(UnionPat(insts)) if insts else ExplicitPat(())
+    return p  # a value
+
+
+@pytest.mark.parametrize("text, bounds", [("SSS(SS)", Bounds(2, 1, 0)),
+                                          ("S(SS)S", Bounds(2, 2, 0)),
+                                          ("S(S(SS))", Bounds(3, 1, 0))],
+                         ids=lambda x: _bounds_id(x) if isinstance(x, Bounds) else x)
+def test_concretized_constraint_sides_have_the_spelled_out_values(text, bounds):
+    # a concretized side is ground exactly when the spelled-out pattern
+    # is, with the same value
+    t = template_of(parse_term(text))
+    ground = 0
+    enum = _UnprunedEnumerator(bounds, budget=float("inf"))
+    for _, b in enum.gen_elem(t.root, bounds.max_rank, {}):
+        for c in t.constraints:
+            for side in (c.left, c.right):
+                v = ground_set(normalize(_concretize(side, b)))
+                assert v == ground_set(normalize(_spelled_out(side, b))), pretty(side)
+                ground += v is not None
+    assert ground
+
+
+def test_a_constraint_that_raises_refutes_nothing_early():
+    # both sides open: undecided at a check point, raised by the full check
+    open_eq = Constraint((), SVar("a"), SVar("b"))
+    false_eq = Constraint((), SVar("a"), gset([nat(0)]))
+    check = _ConstraintCheck((open_eq, false_eq), slack=1)
+    assert not check.refutes((0,), {})
+    assert check.refutes((0, 1), {("s", "a", ()): gset([])})
+    with pytest.raises(UnsupportedMatch, match="both sides open"):
+        check({})
+
+
+def test_sss_sss_lists_an_oracle_member_within_the_budget():
+    # the room a full union leaves keeps SSS(SSS) at (3,1,0) inside a
+    # 400,000-step budget, and the element it lists is a member by the oracle
+    sigma = parse_term("SSS(SSS)")
+    elems, _ = enumerate_template(template_of(sigma), Bounds(3, 1, 0), budget=400_000)
+    assert elems == [parse_gelem("({({} -> ({} -> 0))} -> 0)")]
+    assert member_oracle(sigma, elems[0])
+
+
+def test_a_full_union_gives_each_part_only_its_members():
+    # with set size 1 and the union {0} built, an element part may only be
+    # 0 and a set part only {} or {0}, in the order they came before
+    enum = _Enumerator(Bounds(2, 1, 0))
+    room = frozenset([nat(0)])
+    e0 = parse_gelem("({} -> 0)")
+    assert [v for v, _ in enum.gen_elem(EVar("x"), 2, {}, room)] == [nat(0)]
+    assert [s for s, _ in enum.gen_set(SVar("f"), 2, {}, room)] == [
+        gset([]), gset([nat(0)])]
+    arrows = frozenset([e0, parse_gelem("({0} -> 0)")])
+    pat = ArrowPat(SVar("a"), EVar("c"))
+    got = [v for v, _ in enum.gen_elem(pat, 2, {}, arrows)]
+    assert got == [v for v, _ in enum.gen_elem(pat, 2, {}) if v in arrows]
+    # the pool lists by rank first: ({0} -> 0) before ({} -> ({} -> 0))
+    mixed = frozenset([parse_gelem("({} -> ({} -> 0))"), parse_gelem("({0} -> 0)")])
+    assert [v for v, _ in enum.gen_elem(EVar("x"), 2, {}, mixed)] == [
+        v for v, _ in enum.gen_elem(EVar("x"), 2, {}) if v in mixed]
+    assert [s for s, _ in enum.gen_set(SVar("f"), 2, {}, mixed)] == [
+        s for s, _ in enum.gen_set(SVar("f"), 2, {}) if mixed.issuperset(s)]
+    union = ExplicitPat((EVar("x"), EVar("y")))
+    assert [s for s, _ in enum.gen_set(union, 2, {})] == [
+        s for s, _ in _UnprunedEnumerator(Bounds(2, 1, 0)).gen_set(union, 2, {})]
 
 
 def test_known_closure_violation_still_found():
