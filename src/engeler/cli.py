@@ -17,10 +17,10 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
-from .companion import b0, closure_report, sweep_closure
+from .companion import SWEEP_BUDGET, SWEEP_SET_WIDTH, b0, closure_report, sweep_closure
 from .model import (
     ApplyExpr,
     Bounds,
@@ -47,6 +47,7 @@ from .rewrite import (
     reduces_to,
 )
 from .templates import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     TemplateError,
     enumerate_template,
@@ -78,18 +79,11 @@ EXIT_EXPERIMENT = 4
 
 # Config file keys (key=value, '#' comments).  Flags override these;
 # these override a command's own defaults, and those the built-in ones.
-DEFAULTS = {
-    "fuel": DEFAULT_FUEL,
-    "width": DEFAULT_WIDTH,
-    "max_rank": 3,
-    "max_set_size": 2,
-    "max_nat": 1,
-    "max_arity": 3,
-    "budget": 2_000_000,
-}
+DEFAULTS = {"fuel": DEFAULT_FUEL, "width": DEFAULT_WIDTH, **asdict(Bounds()),
+            "budget": DEFAULT_BUDGET}
 # closure-sweep runs at sweep_closure's own defaults, under which a full
 # sweep finishes; at DEFAULTS it runs out of time and memory
-SWEEP_DEFAULTS = {"max_set_size": 1, "budget": 400_000}
+SWEEP_DEFAULTS = {"max_set_size": SWEEP_SET_WIDTH, "budget": SWEEP_BUDGET}
 MAX_S = 8  # search-identity's largest S-leaf budget
 
 

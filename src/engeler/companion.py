@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Arrow, GElem, GSet, Nat, gset, max_nat, nat
+from .model import Arrow, GElem, GSet, Nat, gset, nat
 from .terms import Term, atoms_used, is_closed
 from .templates import (
     Template,
@@ -36,14 +36,6 @@ class NotBaseRooted(CompanionError):
 
 class NoCaseApplies(CompanionError):
     """A reportable finding: the match fits neither replacement case."""
-
-
-class AmbiguousCompanion(CompanionError):
-    """Distinct candidate companions; carries them all."""
-
-    def __init__(self, candidates):
-        super().__init__(f"{len(candidates)} distinct companion candidates")
-        self.candidates = candidates
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ def substitute_mu(e: GElem, mu: int) -> GElem:
 
 
 def choose_mu(e: GElem) -> int:
-    return max_nat(e) + 1
+    return e.max_nat + 1
 
 
 def _require_s_only(sigma: Term):
@@ -112,7 +104,7 @@ def companion_candidates(sigma: Term, e: GElem, mu: int):
     element variable matched to 0 inside a {0}-valued set variable.
     """
     _require_s_only(sigma)
-    if mu <= max_nat(e):
+    if mu <= e.max_nat:
         raise CompanionError("mu must exceed every natural in the element")
     if b0_base(e) is None:
         raise NotBaseRooted("element has no base decomposition")
@@ -170,17 +162,15 @@ def companion_candidates(sigma: Term, e: GElem, mu: int):
     return out
 
 
-def companion(sigma: Term, e: GElem, mu: int) -> GElem:
-    """The companion element, when the construction is unambiguous."""
-    cands = companion_candidates(sigma, e, mu)
-    distinct = {c for _, c in cands}
-    if len(distinct) > 1:
-        raise AmbiguousCompanion([c for _, c in cands])
-    return next(iter(distinct))
+# the set width and step budget of a sweep given none: at these a sweep
+# of the S-only terms up to 4 leaves finishes
+SWEEP_SET_WIDTH = 1
+SWEEP_BUDGET = 400_000
 
 
-def sweep_closure(max_leaves: int = 4, max_rank: int = 3, set_width: int = 1,
-                  max_nat: int = 1, budget: int = 400_000, progress=None):
+def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
+                  set_width: int = SWEEP_SET_WIDTH, max_nat: int = 1,
+                  budget: int = SWEEP_BUDGET, progress=None):
     """Closure check for every base-rooted element found by bounded
     template enumeration of every S-only term up to the leaf budget.
 

@@ -155,34 +155,6 @@ def arrow(ante, cons: GElem) -> Arrow:
     return Arrow(ante, cons)
 
 
-def mk_elem(raw) -> GElem:
-    """Build a canonical element from a raw description.
-
-    Naturals are ints; arrows are pairs (members, consequent) where
-    `members` is an iterable of raw descriptions.  GElem values pass
-    through unchanged.
-    """
-    if isinstance(raw, GElem):
-        return raw
-    if isinstance(raw, int):
-        return nat(raw)
-    if isinstance(raw, tuple) and len(raw) == 2:
-        members, cons = raw
-        return arrow(gset(mk_elem(m) for m in members), mk_elem(cons))
-    raise ValueError(f"cannot interpret {raw!r} as an element")
-
-
-def rank(e: GElem) -> int:
-    """Nesting depth: naturals are rank 0, an arrow is one more than the
-    deepest thing it mentions."""
-    return e.rank
-
-
-def max_nat(e: GElem) -> int:
-    """Largest natural mentioned anywhere inside e (0 if none)."""
-    return e.max_nat
-
-
 def max_width(e: GElem) -> int:
     """Size of the largest antecedent set anywhere inside e (0 if none).
     The walk keeps its own stack, so any nesting depth is fine."""
@@ -490,19 +462,6 @@ def extensional_bullet(m: GSet, fn_arg: GSet) -> GSet:
         if isinstance(e, Arrow) and e.ante.issubset(fn_arg):
             out.append(e.cons)
     return gset(out)
-
-
-def bullet(m, n, bounds: Bounds = Bounds()) -> EvalResult:
-    """Apply a set expression to a set expression.
-
-    The argument must evaluate to an explicit finite set.  An extensional
-    function is applied by direct scan; a denotation (or partial
-    application of one) is applied through its symbolic template, so the
-    existential over the infinite denotation is solved without enumerating
-    it.  Results are restricted to rank <= bounds.max_rank; if anything was
-    cut off, the truncated flag is set — never silently.
-    """
-    return eval_setexpr(ApplyExpr(m, n), bounds)
 
 
 def eval_setexpr(x, bounds: Bounds = Bounds()) -> EvalResult:

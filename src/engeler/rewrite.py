@@ -1,13 +1,13 @@
 """One-step contraction, leftmost-outermost reduction, and bounded search
 over the full rewrite relation.
 
-`_reducts` is the redex walk that `find_redexes` and `contract` read.  On
-a spine ``h a1 … an`` only the node applying h to exactly its arity (from
+A position is a path of 'left'/'right' moves to a node.  On a spine
+``h a1 … an`` only the node applying h to exactly its arity (from
 `RULES`) of arguments can be a redex, and it precedes the arguments in
-preorder; so the walk takes each spine apart once, keeps its own stack,
-and yields each reduct leftmost-outermost first, sharing every subtree its
-contraction leaves alone.  A position is a path of 'left'/'right' moves to
-the redex node.
+preorder; so `find_redexes` takes each spine apart once, keeps its own
+stack, and lists the positions leftmost-outermost first without building
+a term.  `contract` walks down its path and rebuilds only the nodes on
+it, sharing every subtree the contraction leaves alone.
 
 `reduce` walks the term as a zipper: a *focus*, the spine being
 head-reduced, and a persistent *context* of frames for the spines above
@@ -93,10 +93,10 @@ def _path(lefts, ctx) -> tuple:
     return tuple(reversed(steps))
 
 
-def _reducts(t: Term):
-    """((lefts, ctx), reduct) for each redex of t, leftmost-outermost
-    first; `_path(lefts, ctx)` is the redex's path."""
-    work = [(t, None)]
+def find_redexes(t: Term):
+    """All redex positions in leftmost-outermost order (preorder)."""
+    out = []
+    work = [(t, None)]  # a spine and its context, a frame as in `_plug`
     while work:
         node, ctx = work.pop()
         nodes = []
@@ -104,29 +104,34 @@ def _reducts(t: Term):
             nodes.append(node)
             node = node.left
         if isinstance(node, Atom):
-            arity, rule = RULES[node.name]
-            lefts = len(nodes) - arity
+            lefts = len(nodes) - RULES[node.name][0]
             if lefts >= 0:
-                args = [n.right for n in reversed(nodes[lefts:])]
-                yield (lefts, ctx), _plug(rule(*args), nodes, lefts, ctx)
+                out.append(_path(lefts, ctx))
         # the first argument is pushed last, so it is walked first
         for k, n in enumerate(nodes):
             if isinstance(n.right, App):
                 work.append((n.right, (nodes, k, ctx, n.left)))
-
-
-def find_redexes(t: Term):
-    """All redex positions in leftmost-outermost order (preorder)."""
-    return [_path(*pos) for pos, _ in _reducts(t)]
+    return out
 
 
 def contract(t: Term, path) -> Term:
     """Contract the redex at `path`; error if the path is not a redex."""
     path = tuple(path)
-    for pos, reduct in _reducts(t):
-        if _path(*pos) == path:
-            return reduct
-    raise RedexError(f"no redex at path {list(path)}")
+    node, above = t, []  # above: (node, step) for each node over the redex
+    for step in path:
+        if not isinstance(node, App) or step not in ("left", "right"):
+            raise RedexError(f"no redex at path {list(path)}")
+        above.append((node, step))
+        node = node.left if step == "left" else node.right
+    head, args = node, 0
+    while isinstance(head, App):
+        head, args = head.left, args + 1
+    if not isinstance(head, Atom) or RULES[head.name][0] != args:
+        raise RedexError(f"no redex at path {list(path)}")
+    out = _contractum(node)
+    for parent, step in reversed(above):
+        out = App(out, parent.right) if step == "left" else App(parent.left, out)
+    return out
 
 
 # atom name -> how many more arguments make it a redex's head

@@ -12,9 +12,14 @@ element patterns   EVar, ArrowPat, a concrete element (GElem)
 set patterns       SVar, ExplicitPat, FamilyPat, UnionPat, a concrete set (GSet)
 arity              AVar (with a lower bound), or a concrete int
 
-A concrete element or set is a ground pattern that matches only itself:
-matching puts the value bound to a variable in the variable's place.
-Composition never builds one.
+A concrete element or set is a ground pattern that matches only itself.
+Composition never builds one.  `_concretize`, which puts the values of a
+concrete binding in place, is the one place where a ground pattern
+becomes a value: a part is ground exactly when it is a GElem or a GSet.
+
+A match, an enumeration or a staged application makes one
+`_ConstraintCheck`.  It holds the call's one `Matcher`, the memo of the
+retained equations' verdicts and the table of family instances.
 
 FamilyPat(n, i, body) is the indexed collection over i = 1..n; with an
 element body it denotes the listing {body_i}, with a set body the union
@@ -461,43 +466,6 @@ def normalize(p):
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def ground_elem(p):
-    """Concrete element if the pattern has no variables, else None."""
-    if isinstance(p, GElem):
-        return p
-    if isinstance(p, ArrowPat):
-        a = ground_set(p.ante)
-        if a is None:
-            return None
-        c = ground_elem(p.cons)
-        if c is None:
-            return None
-        return Arrow(a, c)
-    return None
-
-
-def ground_set(p):
-    if isinstance(p, GSet):
-        return p
-    if isinstance(p, ExplicitPat):
-        out = []
-        for m in p.members:
-            g = ground_elem(m)
-            if g is None:
-                return None
-            out.append(g)
-        return gset(out)
-    if isinstance(p, UnionPat):
-        acc = []
-        for q in p.parts:
-            g = ground_set(q)
-            if g is None:
-                return None
-            acc.extend(g)
-        return gset(acc)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # base templates
 
@@ -855,10 +823,10 @@ def compose(t1: Template, t2: Template) -> Template:
         out = []
         for c in defer + extra_constraints:
             c = _subst_constraint(c, b)
-            gl, gr = ground_set(c.left), ground_set(c.right)
-            if not c.binders and gl is not None and gr is not None:
-                if gl != gr:
-                    raise _Clash
+            # composition builds no values and its element patterns end in
+            # variables, so its only ground set is {}: {} = {} says nothing
+            if not c.binders and all(isinstance(q, ExplicitPat) and not q.members
+                                     for q in (c.left, c.right)):
                 continue
             out.append(c)
     except _Clash:
@@ -1010,17 +978,10 @@ class Matcher:
 
     def _family_union(self, p, n, g, b):
         # union over i of set-valued bodies equals g
-        inst = []
-        all_ground = True
-        for i in range(1, n + 1):
-            body_i = _concretize(reindex(p.body, p.binder, i), b)
-            gs = ground_set(body_i)
-            if gs is None:
-                all_ground = False
-            inst.append((body_i, gs))
+        inst = [_concretize(reindex(p.body, p.binder, i), b) for i in range(1, n + 1)]
         members = frozenset(g)
-        if all_ground:
-            if members == frozenset().union(*(gs for _, gs in inst)):
+        if all(isinstance(q, GSet) for q in inst):
+            if members == frozenset().union(*inst):
                 yield b
             return
         if len(g) > 4 or n > 4:
@@ -1032,9 +993,9 @@ class Matcher:
                 if acc == members:
                     yield bb
                 return
-            body_i, gs = inst[i]
-            if gs is not None:
-                yield from go(i + 1, bb, acc.union(gs))
+            body_i = inst[i]
+            if isinstance(body_i, GSet):
+                yield from go(i + 1, bb, acc.union(body_i))
                 return
             for sub in subsets:
                 for b1 in self.match_set(_concretize(body_i, bb), sub, bb):
@@ -1043,15 +1004,13 @@ class Matcher:
         yield from go(0, b, frozenset())
 
     def _match_union(self, p, g, b):
-        ground_parts = []
-        open_parts = []
+        ground_parts, open_parts = [], []
         for q in p.parts:
-            qq = _concretize(q, b)
-            gs = ground_set(qq)
-            if gs is None:
-                open_parts.append(qq)
+            q = _concretize(q, b)
+            if isinstance(q, GSet):
+                ground_parts.append(q)
             else:
-                ground_parts.append(gs)
+                open_parts.append(q)
         covered = []
         for gs in ground_parts:
             if not gs.issubset(g):
@@ -1101,9 +1060,10 @@ def _subsets(xs):
 
 
 class _ConstraintCheck:
-    """Do all retained equations hold (for some value of any leftover
-    existential variables) under a concrete binding?  Memoised for one
-    call.
+    """The one object of a match, an enumeration or a staged application:
+    it holds the call's `Matcher` and decides whether all retained
+    equations hold (for some value of any leftover existential variables)
+    under a concrete binding, memoised for the call.
 
     A side of a retained equation reads from a concrete binding only the
     values of its own variables, every instance of each.  So each side is
@@ -1112,16 +1072,15 @@ class _ConstraintCheck:
     sides read: bindings that differ only elsewhere share them.  The
     equations are still tried in order, so the first False (or raise) is
     the one an unmemoised check would give.  The instances of families
-    and binders that the equations expand depend only on the template, so
-    they are built once each and kept in a table.  An instance is meant
-    to live for one enumeration, one match or one staged application: it
-    never sees a second template, and it is dropped with the call.
+    and binders that the equations and the enumerator expand depend only
+    on the template, so they are built once each and kept in a table.  A
+    check never sees a second template, and it is dropped with the call.
     """
 
     def __init__(self, constraints, slack, max_arity=4):
         self.constraints = constraints
-        self.slack = slack
         self.max_arity = max_arity
+        self.matcher = Matcher(slack)
         self.reads = [_reads(c) for c in constraints]
         self.memo = {}
         self.sides = {}  # (side, the values it reads) -> its concretized form
@@ -1141,6 +1100,14 @@ class _ConstraintCheck:
         undecided here; the full check raises it in its turn."""
         return any(self._verdict(i, b) is False for i in indices)
 
+    def instance(self, p, binder, i):
+        """p's instance at index i of binder, as `reindex` builds it."""
+        key = (p, binder, i)
+        q = self.instances.get(key)
+        if q is None:
+            q = self.instances[key] = reindex(p, binder, i)
+        return q
+
     def _verdict(self, i, b):
         """True, False or the TemplateError that equation i raises."""
         reads = self.reads[i]
@@ -1156,28 +1123,44 @@ class _ConstraintCheck:
         key = (i, left, right)
         ok = self.memo.get(key)
         if ok is None:
-            values = {_LEFT: left, _RIGHT: right}
-
-            def side(p, which):
-                key = (p, values[which])
-                q = self.sides.get(key)
-                if q is None:
-                    q = self.sides[key] = normalize(_concretize(p, b, self._instance))
-                return q
-
             try:
-                ok = _constraint_ok(self.constraints[i], b, self.slack, self.max_arity,
-                                    self._instance, side)
+                ok = self._holds(self.constraints[i], b, left, right)
             except TemplateError as exc:
                 ok = exc
             self.memo[key] = ok
         return ok
 
-    def _instance(self, p, binder, i):
-        key = (p, binder, i)
-        q = self.instances.get(key)
+    def _holds(self, c, b, left_reads, right_reads):
+        """Does equation c, one of the retained ones or an instance of one,
+        hold under b?  left_reads and right_reads are the items of b that
+        its left and its right side read."""
+        if c.binders:
+            (binder, arity), rest = c.binders[0], c.binders[1:]
+            a, inst = resolve_arity(arity, b), self.instance
+            return any(all(self._holds(Constraint(rest, inst(c.left, binder, i),
+                                                  inst(c.right, binder, i)),
+                                       b, left_reads, right_reads)
+                           for i in range(1, n + 1))
+                       for n in ([a] if isinstance(a, int) else range(self.max_arity + 1)))
+        left = self._side(c.left, left_reads, b)
+        right = self._side(c.right, right_reads, b)
+        if isinstance(left, GSet) and isinstance(right, GSet):
+            return left == right
+        if isinstance(left, GSet):
+            left, right = right, left
+        if isinstance(right, GSet):  # does some binding make left the value?
+            return next(self.matcher.match_set(left, right, dict(b)), None) is not None
+        raise UnsupportedMatch(
+            f"set equation with both sides open: {pretty(left)} = {pretty(right)}"
+        )
+
+    def _side(self, p, reads, b):
+        """What `normalize` and `_concretize` make of p under b, once per
+        distinct set of the items of b that p reads."""
+        key = (p, reads)
+        q = self.sides.get(key)
         if q is None:
-            q = self.instances[key] = reindex(p, binder, i)
+            q = self.sides[key] = normalize(_concretize(p, b, self.instance))
         return q
 
 
@@ -1199,45 +1182,13 @@ def _reads(c):
     return reads
 
 
-def _constraint_ok(c, b, slack, max_arity, inst, side):
-    """Does retained equation c hold under concrete binding b?  inst(p,
-    binder, i) is p's instance at index i, as `reindex` builds it, and
-    side(p, which) is what `normalize` and `_concretize` make of p, the
-    _LEFT or _RIGHT side of c or of one of its instances."""
-    if c.binders:
-        (binder, arity), rest = c.binders[0], c.binders[1:]
-        a = resolve_arity(arity, b)
-        candidates = [a] if isinstance(a, int) else range(0, max_arity + 1)
-        for n in candidates:
-            ok = True
-            for i in range(1, n + 1):
-                sub = Constraint(rest, inst(c.left, binder, i), inst(c.right, binder, i))
-                if not _constraint_ok(sub, b, slack, max_arity, inst, side):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-    left, right = side(c.left, _LEFT), side(c.right, _RIGHT)
-    gl, gr = ground_set(left), ground_set(right)
-    if gl is not None and gr is not None:
-        return gl == gr
-    matcher = Matcher(slack=slack)
-    if gl is not None:
-        return _matches_set(matcher, right, gl, b)
-    if gr is not None:
-        return _matches_set(matcher, left, gr, b)
-    raise UnsupportedMatch(
-        f"set equation with both sides open: {pretty(left)} = {pretty(right)}"
-    )
-
-
 def _concretize(p, b, inst=reindex):
     """Put the value that concrete binding b gives each variable in its
     place, expand each family whose arity b fixes, taking its instances
-    from inst (as in `_constraint_ok`), and give each part that is then
-    ground as its value: a concrete element or set is the ground pattern
-    that spells it out."""
+    from inst (as `_ConstraintCheck.instance` gives them), and give each
+    part that is then ground as its value.  This is the one place where a
+    ground pattern becomes a value: a part is ground exactly when it comes
+    back as a `GElem` or a `GSet`."""
     if isinstance(p, (EVar, SVar)):
         v = b.get(p.key)
         return p if v is None else v
@@ -1251,7 +1202,10 @@ def _concretize(p, b, inst=reindex):
     if isinstance(p, FamilyPat):
         ar = resolve_arity(p.arity, b)
         if not isinstance(ar, int):
-            return normalize(FamilyPat(ar, p.binder, _concretize(p.body, b, inst)))
+            q = normalize(FamilyPat(ar, p.binder, _concretize(p.body, b, inst)))
+            # a family whose instances coincide is a one-member listing
+            v = _ground_value(q.members, GElem) if isinstance(q, ExplicitPat) else None
+            return q if v is None else v
         parts = tuple(_concretize(inst(p.body, p.binder, i), b, inst)
                       for i in range(1, ar + 1))
         if isinstance(p.body, ELEM_PATS):
@@ -1278,31 +1232,17 @@ def _ground_value(parts, kind):
     return gset(parts if kind is GElem else itertools.chain.from_iterable(parts))
 
 
-def _matches_set(matcher, pattern, value, b):
-    for _ in matcher.match_set(pattern, value, dict(b)):
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # membership and enumeration
 
 
 def matches(t: Template, e: GElem):
     """Bindings under which the concrete element realizes the template
-    (retained constraints verified).
-
-    Each retained constraint's verdict is memoised for the life of one
-    call, keyed on the values the binding gives to that constraint's own
-    variables, so root bindings that differ only elsewhere are checked
-    once.
-    """
+    (retained constraints verified by the call's one `_ConstraintCheck`)."""
     if t.is_empty:
         return
-    slack = max_width(e)
-    matcher = Matcher(slack=slack)
-    check = _ConstraintCheck(t.constraints, slack)
-    for b in matcher.match_elem(t.root, e, {}):
+    check = _ConstraintCheck(t.constraints, max_width(e))
+    for b in check.matcher.match_elem(t.root, e, {}):
         if check(b):
             yield b
 
@@ -1319,14 +1259,16 @@ def instantiate(t: Template, b) -> GElem:
     if t.is_empty:
         raise TemplateError("cannot instantiate the empty template")
     pat = _concretize(t.root, b)
-    g = ground_elem(pat)
-    if g is None:
+    if not isinstance(pat, GElem):
         missing = sorted(k for k in free_vars(pat))
         raise TemplateError(f"binding leaves variables open: {missing}")
-    return g
+    return pat
 
 
 _POOL_CACHE = {}
+
+# the step budget of an enumeration that is given none
+DEFAULT_BUDGET = 2_000_000
 
 
 def _pool_subsets(rank, set_size, max_nat):
@@ -1361,20 +1303,20 @@ class _Enumerator:
     """The (value, binding) pairs of element and set patterns within the
     bounds, antecedents first, by backtracking over one binding.
 
-    With a `check` and its `plan` (see `_check_plan`), a branch is cut as
-    soon as it refutes a retained constraint whose variables it has all
-    bound.  A generator given `allowed`, a set of elements, yields only
-    the pairs whose element lies in it or whose set lies inside it, in the
-    order it would yield them without it.
+    Family instances come from the table of the call's `check`.  Given a
+    `plan` (see `_check_plan`), a branch is cut as soon as it refutes a
+    retained constraint whose variables it has all bound.  A generator
+    given `allowed`, a set of elements, yields only the pairs whose element
+    lies in it or whose set lies inside it, in the order it would yield
+    them without it.
     """
 
-    def __init__(self, bounds: Bounds, budget=2_000_000, check=None, plan=None):
+    def __init__(self, bounds: Bounds, check, budget=DEFAULT_BUDGET, plan=None):
         self.bounds = bounds
         self.budget = budget
         self.steps = 0
         self.check = check
         self.plan = plan or {}
-        self._instances = {}  # (family, arity) -> its instance patterns
         self._sized = set()  # pool ranks already checked against the budget
         self._subsets = {}  # (allowed, rank) -> the pool's sets inside allowed
         self._floors = {}  # pattern -> `_rank_floor`
@@ -1530,11 +1472,8 @@ class _Enumerator:
         return sets
 
     def _gen_family(self, p, n, depth, b, allowed=None):
-        insts = self._instances.get((p, n))
-        if insts is None:
-            insts = self._instances[p, n] = []
-            for i in range(1, n + 1):
-                insts.append(reindex(p.body, p.binder, i))
+        inst = self.check.instance
+        insts = [inst(p.body, p.binder, i) for i in range(1, n + 1)]
         yield from self._gen_union(insts, depth, b, allowed)
 
     def _gen_union(self, parts, depth, b, allowed=None):
@@ -1630,7 +1569,7 @@ def _check_plan(t: Template):
     return {p: (tuple(ante), tuple(cons)) for p, (ante, cons) in plan.items()}
 
 
-def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
+def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
     """All described elements within the bounds.
 
     Returns (elements, truncated); truncated is always True for a
@@ -1656,14 +1595,17 @@ def enumerate_template(t: Template, bounds: Bounds, budget=2_000_000):
       variables' values, which nothing later changes.  A constraint that
       raises there cuts nothing and raises nothing.
     Every binding that survives is then checked against all retained
-    constraints in order, so the first that fails or raises decides.  Each constraint's verdict is memoised for the life of one
-    call, keyed on the values the binding gives to its own variables.
+    constraints in order, so the first that fails or raises decides.
+    The enumerator, the early checks and this last check share one
+    `_ConstraintCheck`, so each constraint's verdict is memoised for the
+    life of the call, keyed on the values the binding gives to its own
+    variables, and each family instance is built once.
     """
     if t.is_empty:
         return [], False
     slack = max(bounds.max_set_size, bounds.max_arity)
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
-    enum = _Enumerator(bounds, budget, check, _check_plan(t))
+    enum = _Enumerator(bounds, check, budget, _check_plan(t))
     out = []
     seen = set()
     for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):
@@ -1694,7 +1636,6 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
     sets = [s if isinstance(s, GSet) else gset(s) for s in arg_sets]
     slack = max(bounds.max_set_size, bounds.max_arity,
                 max((max_width(e) for s in sets for e in s), default=0))
-    matcher = Matcher(slack=slack)
     cap = max(bounds.max_set_size, bounds.max_arity)
     truncated = False
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
@@ -1709,7 +1650,7 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
                 return [], True  # unconstrained head: nothing exact to say
             if not isinstance(pat, (ArrowPat, Arrow)):
                 continue  # naturals never apply
-            for b1 in _match_ante(matcher, pat.ante, n_set, b, cap):
+            for b1 in _match_ante(check.matcher, pat.ante, n_set, b, cap):
                 nxt.append((_concretize(pat.cons, b1), b1))
         seen = set()
         states = []
@@ -1720,13 +1661,12 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
                 states.append((pat, b))
     out = []
     seen = set()
-    enum = _Enumerator(bounds)
+    enum = _Enumerator(bounds, check)
     for pat, b in states:
-        g = ground_elem(pat)
-        if g is not None:
-            if g not in seen and check(b):
-                seen.add(g)
-                out.append(g)
+        if isinstance(pat, GElem):
+            if pat not in seen and check(b):
+                seen.add(pat)
+                out.append(pat)
             continue
         truncated = True
         for v, b2 in enum.gen_elem(pat, bounds.max_rank, b):
@@ -1746,9 +1686,8 @@ def _match_ante(matcher, ante, n_set, b, cap):
     a union against those with at most cap elements plus one per part,
     any other form against those with at most cap elements.
     """
-    g = ground_set(ante)
-    if g is not None:
-        if g.issubset(n_set):
+    if isinstance(ante, GSet):
+        if ante.issubset(n_set):
             yield b
         return
     if isinstance(ante, ExplicitPat):

@@ -3,7 +3,6 @@
 import pytest
 
 from engeler.companion import (
-    AmbiguousCompanion,
     CompanionError,
     NoCaseApplies,
     NotBaseRooted,
@@ -12,13 +11,12 @@ from engeler.companion import (
     b_mu,
     choose_mu,
     closure_report,
-    companion,
     companion_candidates,
     rebuild,
     substitute_mu,
     sweep_closure,
 )
-from engeler.model import enumerate_g, gelem_to_text, max_nat, nat, parse_gelem
+from engeler.model import enumerate_g, gelem_to_text, nat, parse_gelem
 from engeler.templates import member_via_template, template_of
 from engeler.terms import parse_term
 
@@ -68,7 +66,7 @@ def test_substitute_mu():
 def test_choose_mu_exceeds_every_natural():
     for text in ["({0} -> 0)", "({1} -> ({0} -> 0))", "({3} -> ({0} -> 0))"]:
         e = parse_gelem(text)
-        assert choose_mu(e) == max_nat(e) + 1
+        assert choose_mu(e) == e.max_nat + 1
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +82,6 @@ def test_case_ii_on_s():
     assert {gelem_to_text(c) for _, c in cands} == {
         "({({0} -> ({} -> 1))} -> ({} -> ({0} -> 1)))"
     }
-    assert companion(sigma, e, 1) == parse_gelem(
-        "({({0} -> ({} -> 1))} -> ({} -> ({0} -> 1)))"
-    )
     assert _companions_stay_members(sigma, e)
 
 
@@ -104,14 +99,12 @@ def test_case_i_on_s():
 
 
 def test_ambiguous_candidates_at_width_two():
-    # multiple matches each offer a zero to bump; companion() refuses to
-    # pick, the closure check still covers every candidate
+    # multiple matches each offer a zero to bump, so there is more than
+    # one distinct candidate; the closure check covers every one
     sigma = parse_term("S")
     e = parse_gelem("({({} -> ({0} -> 0))} -> ({({} -> 0),({0} -> 0)} -> ({0} -> 0)))")
     cands = companion_candidates(sigma, e, choose_mu(e))
     assert len({c for _, c in cands}) > 1
-    with pytest.raises(AmbiguousCompanion):
-        companion(sigma, e, choose_mu(e))
     assert _companions_stay_members(sigma, e)
 
 
@@ -137,7 +130,6 @@ def test_candidate_validation():
 def test_no_case_error_is_distinct():
     assert issubclass(NoCaseApplies, CompanionError)
     assert issubclass(NotBaseRooted, CompanionError)
-    assert issubclass(AmbiguousCompanion, CompanionError)
 
 
 # ---------------------------------------------------------------------------

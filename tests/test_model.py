@@ -17,7 +17,6 @@ from engeler.model import (
     Extensional,
     Nat,
     arrow,
-    bullet,
     count_g,
     enumerate_g,
     eval_setexpr,
@@ -26,14 +25,11 @@ from engeler.model import (
     gelem_to_json,
     gelem_to_text,
     gset,
-    max_nat,
     max_width,
     member_k,
     member_s,
-    mk_elem,
     nat,
     parse_gelem,
-    rank,
 )
 from engeler.terms import parse_term
 
@@ -45,16 +41,16 @@ B0 = parse_gelem("({0} -> 0)")
 
 
 def test_rank():
-    assert rank(nat(7)) == 0
-    assert rank(B0) == 1
-    assert rank(parse_gelem("({({0} -> 0)} -> 0)")) == 2
-    assert rank(parse_gelem("({} -> ({} -> ({} -> 0)))")) == 3
+    assert nat(7).rank == 0
+    assert B0.rank == 1
+    assert parse_gelem("({({0} -> 0)} -> 0)").rank == 2
+    assert parse_gelem("({} -> ({} -> ({} -> 0)))").rank == 3
 
 
 def test_max_nat():
-    assert max_nat(nat(4)) == 4
-    assert max_nat(parse_gelem("({2} -> ({5} -> 1))")) == 5
-    assert max_nat(parse_gelem("({} -> 0)")) == 0
+    assert nat(4).max_nat == 4
+    assert parse_gelem("({2} -> ({5} -> 1))").max_nat == 5
+    assert parse_gelem("({} -> 0)").max_nat == 0
 
 
 def test_nat_interning_and_validation():
@@ -70,8 +66,6 @@ def test_nat_rejects_non_int(bad):
     interned = [nat(0), nat(1)]
     with pytest.raises(ValueError):
         nat(bad)
-    with pytest.raises(ValueError):
-        mk_elem(bad)
     assert [gelem_to_text(e) for e in interned] == ["0", "1"]
     assert [nat(0), nat(1)] == interned
 
@@ -93,13 +87,6 @@ def test_gset_operations():
     assert s0.union(gset([nat(1)])) == s01
     assert nat(0) in s0
     assert B0 not in s0
-
-
-def test_mk_elem():
-    assert mk_elem(3) == nat(3)
-    assert mk_elem(([0], 0)) == B0
-    assert mk_elem(([], ([0, 1], 2))) == arrow(gset([]), arrow(gset([nat(0), nat(1)]), nat(2)))
-    assert mk_elem(B0) is B0
 
 
 def test_bounds_frozen():
@@ -254,8 +241,8 @@ def _set_width(e):
 
 def test_enumeration_respects_bounds():
     for e in enumerate_g(2, 2, 1):
-        assert rank(e) <= 2
-        assert max_nat(e) <= 1
+        assert e.rank <= 2
+        assert e.max_nat <= 1
         assert _set_width(e) <= 2
 
 
@@ -324,7 +311,7 @@ def test_eval_apply_chain_k_law_instance():
 
 def test_bullet_truncation_flag():
     m = gset([arrow(gset([]), B0)])
-    r = bullet(Extensional(m), Extensional(gset([])), Bounds(max_rank=0))
+    r = eval_setexpr(ApplyExpr(Extensional(m), Extensional(gset([]))), Bounds(max_rank=0))
     assert r.truncated
     assert len(r.elements) == 0
 

@@ -15,7 +15,6 @@ from engeler.rewrite import (
     FUEL_EXHAUSTED,
     NORMAL_FORM,
     _reduces_to_py,
-    _reducts,
     contract,
     find_redexes,
     identity_behavior,
@@ -25,6 +24,7 @@ from engeler.rewrite import (
     reduces_to,
 )
 from engeler.terms import (
+    App,
     app,
     atom,
     expand_stdlib,
@@ -108,7 +108,6 @@ def test_one_step_reducts_are_in_redex_order(t):
     paths = find_redexes(t)
     assert paths == sorted(paths)
     assert one_step_reducts(t) == [contract(t, p) for p in paths]
-    assert one_step_reducts(t) == [r for _, r in _reducts(t)]
 
 
 def test_contract_at_path():
@@ -120,6 +119,34 @@ def test_contract_at_path():
     assert contract(t, ["left", "right"]) == parse_term("Kxy")
     with pytest.raises(ValueError, match="no redex at path"):
         contract(t, ("left",))
+
+
+def test_redex_walk_builds_no_terms(monkeypatch):
+    # x(Ix)(Ix)... with 200 redexes along one spine: listing them builds no
+    # App node, and a contraction builds one per node on its path (walks
+    # that built each whole reduct built 20,100 for either)
+    x = var(0)
+    t = x
+    for _ in range(200):
+        t = app(t, app(atom("I"), x))
+    last = app(t.left, x)  # built before counting
+    built = []
+    init = App.__init__
+
+    def counting_init(self, left, right):
+        built.append(None)
+        init(self, left, right)
+
+    monkeypatch.setattr(App, "__init__", counting_init)
+    paths = find_redexes(t)
+    assert len(paths) == 200 and len(built) == 0
+    assert paths[0] == ("left",) * 199 + ("right",) and paths[-1] == ("right",)
+    reduct = contract(t, paths[-1])
+    assert len(built) == 1
+    contract(t, paths[0])
+    assert len(built) == 1 + 200
+    monkeypatch.undo()
+    assert reduct == last
 
 
 def test_reduces_to():

@@ -13,7 +13,7 @@ import pytest
 from engeler.companion import b0_base, closure_report
 from engeler.oracle import member_oracle
 from engeler.model import (
-    Bounds, GElem, count_g, enumerate_g, gset, max_width, nat, parse_gelem, rank,
+    Arrow, Bounds, GElem, GSet, count_g, enumerate_g, gset, max_width, nat, parse_gelem,
 )
 from engeler.templates import (
     AVar,
@@ -35,12 +35,10 @@ from engeler.templates import (
     _Enumerator,
     _check_plan,
     _concretize,
-    _constraint_ok,
     _quantify,
     apply_template_chain,
     base_template,
     enumerate_template,
-    ground_set,
     has_singleton_setvar,
     index_append,
     instantiate,
@@ -223,7 +221,7 @@ def test_membership_goldens():
     tpl = template_of(parse_term("SS"))
     minimal = parse_gelem("({} -> ({({} -> ({} -> 0))} -> ({} -> 0)))")
     decoupled = parse_gelem("({} -> ({({} -> ({} -> 0))} -> ({} -> 1)))")
-    assert rank(minimal) == 4
+    assert minimal.rank == 4
     assert member_via_template(tpl, minimal)
     assert not member_via_template(tpl, decoupled)
 
@@ -274,7 +272,7 @@ def test_enumerate_ss_has_no_rank3_members():
     assert elems == []
     # SS's consequent is an arrow whose antecedent lists an arrow of rank 2,
     # so every member has rank 4 or more and nothing below rank 4 is built
-    enum = _Enumerator(Bounds(3, 2, 1), budget=100)
+    enum = _Enumerator(Bounds(3, 2, 1), _no_check(), budget=100)
     assert list(enum.gen_elem(template_of(parse_term("SS")).root, 3, {})) == []
     assert enum.steps == 1
 
@@ -327,6 +325,12 @@ def test_enumeration_members_satisfy_template():
         assert member_via_template(tpl, e)
 
 
+def _no_check():
+    """A check with no constraints, for an enumerator of bare patterns: it
+    keeps only the table of family instances."""
+    return _ConstraintCheck((), 0)
+
+
 class _UnprunedEnumerator(_Enumerator):
     """The enumerator with no pruning: every set pattern builds its whole
     value and only then drops it for being too wide."""
@@ -368,12 +372,10 @@ class _UnprunedEnumerator(_Enumerator):
 
 
 def _check_constraints(constraints, b, slack, max_arity):
-    """All retained equations hold under concrete bindings b, each checked
-    afresh: the reference for the memos in `_ConstraintCheck`."""
-    def side(p, _):
-        return normalize(_concretize(p, b))
-
-    return all(_constraint_ok(c, b, slack, max_arity, reindex, side) for c in constraints)
+    """All retained equations hold under concrete bindings b, checked by a
+    fresh `_ConstraintCheck` for each binding: the reference for the memos
+    that one check keeps across the bindings of a call."""
+    return _ConstraintCheck(constraints, slack, max_arity)(b)
 
 
 def _reference_enumeration(t, bounds):
@@ -383,7 +385,7 @@ def _reference_enumeration(t, bounds):
         return []
     slack = max(bounds.max_set_size, bounds.max_arity)
     found = {}
-    enum = _UnprunedEnumerator(bounds, budget=float("inf"))
+    enum = _UnprunedEnumerator(bounds, _no_check(), budget=float("inf"))
     for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):
         if v not in found and _check_constraints(t.constraints, b, slack, bounds.max_arity):
             found[v] = v
@@ -496,23 +498,50 @@ def _spelled_out(p, b):
     return p  # a value
 
 
+def _value_of(p):
+    """The value a variable-free pattern spells out, or None."""
+    if isinstance(p, (GElem, GSet)):
+        return p
+    if isinstance(p, ArrowPat):
+        ante, cons = _value_of(p.ante), _value_of(p.cons)
+        if isinstance(ante, GSet) and isinstance(cons, GElem):
+            return Arrow(ante, cons)
+        return None
+    if isinstance(p, ExplicitPat):
+        members = [_value_of(m) for m in p.members]
+        return None if None in members else gset(members)
+    if isinstance(p, UnionPat):
+        parts = [_value_of(q) for q in p.parts]
+        return None if None in parts else gset(e for part in parts for e in part)
+    return None
+
+
 @pytest.mark.parametrize("text, bounds", [("SSS(SS)", Bounds(2, 1, 0)),
                                           ("S(SS)S", Bounds(2, 2, 0)),
                                           ("S(S(SS))", Bounds(3, 1, 0))],
                          ids=lambda x: _bounds_id(x) if isinstance(x, Bounds) else x)
 def test_concretized_constraint_sides_have_the_spelled_out_values(text, bounds):
-    # a concretized side is ground exactly when the spelled-out pattern
-    # is, with the same value
+    # a concretized side is a value exactly when the spelled-out pattern
+    # has no variables, and it is the value that pattern spells out
     t = template_of(parse_term(text))
     ground = 0
-    enum = _UnprunedEnumerator(bounds, budget=float("inf"))
+    enum = _UnprunedEnumerator(bounds, _no_check(), budget=float("inf"))
     for _, b in enum.gen_elem(t.root, bounds.max_rank, {}):
         for c in t.constraints:
             for side in (c.left, c.right):
-                v = ground_set(normalize(_concretize(side, b)))
-                assert v == ground_set(normalize(_spelled_out(side, b))), pretty(side)
+                v = normalize(_concretize(side, b))
+                v = v if isinstance(v, GSet) else None
+                assert v == _value_of(normalize(_spelled_out(side, b))), pretty(side)
                 ground += v is not None
     assert ground
+
+
+def test_concretize_folds_a_family_whose_instances_coincide():
+    # with its arity open but at least 1, the family is the one-member
+    # listing {x}, and under {x: 0} that is the value {0}
+    family = FamilyPat(AVar("n", minimum=1), "i", EVar("x"))
+    assert _concretize(family, {EVar("x").key: nat(0)}) == gset([nat(0)])
+    assert isinstance(_concretize(family, {}), ExplicitPat)
 
 
 def test_a_constraint_that_raises_refutes_nothing_early():
@@ -538,7 +567,7 @@ def test_sss_sss_lists_an_oracle_member_within_the_budget():
 def test_a_full_union_gives_each_part_only_its_members():
     # with set size 1 and the union {0} built, an element part may only be
     # 0 and a set part only {} or {0}, in the order they came before
-    enum = _Enumerator(Bounds(2, 1, 0))
+    enum = _Enumerator(Bounds(2, 1, 0), _no_check())
     room = frozenset([nat(0)])
     e0 = parse_gelem("({} -> 0)")
     assert [v for v, _ in enum.gen_elem(EVar("x"), 2, {}, room)] == [nat(0)]
@@ -556,7 +585,7 @@ def test_a_full_union_gives_each_part_only_its_members():
         s for s, _ in enum.gen_set(SVar("f"), 2, {}) if mixed.issuperset(s)]
     union = ExplicitPat((EVar("x"), EVar("y")))
     assert [s for s, _ in enum.gen_set(union, 2, {})] == [
-        s for s, _ in _UnprunedEnumerator(Bounds(2, 1, 0)).gen_set(union, 2, {})]
+        s for s, _ in _UnprunedEnumerator(Bounds(2, 1, 0), _no_check()).gen_set(union, 2, {})]
 
 
 def test_known_closure_violation_still_found():
@@ -582,7 +611,7 @@ def test_values_are_ground_patterns():
     assert pretty(normalize(union)) == "{0, 1, x} + f"
     family = FamilyPat(AVar("n", minimum=1), "i", gset([e]))
     assert pretty(normalize(family)) == "{({0} -> 1)}"
-    enum = _Enumerator(Bounds(2, 1, 0))
+    enum = _Enumerator(Bounds(2, 1, 0), _no_check())
     e0 = parse_gelem("({0} -> 0)")
     assert [v for v, _ in enum.gen_elem(e0, 2, {})] == [e0]
     assert list(enum.gen_elem(e0, 0, {})) == []  # rank 1 at depth 0
