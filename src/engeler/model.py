@@ -356,66 +356,59 @@ def parse_gelem(text: str) -> GElem:
     "({e1,e2} -> e)" with "{}" for the empty set.  Text nested deeper
     than the interpreter's recursion limit allows raises
     ElementSyntaxError, like any other text that is not an element."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def expect(ch):
-        nonlocal pos
-        skip_ws()
-        if pos >= n or not text.startswith(ch, pos):
-            raise ElementSyntaxError(f"expected {ch!r} at {pos} in {text!r}")
-        pos += len(ch)
-
-    def parse_elem():
-        nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] in DIGITS:
-            j = pos
-            while j < n and text[j] in DIGITS:
-                j += 1
-            try:
-                v = int(text[pos:j])
-            except ValueError:  # more digits than int() converts
-                raise ElementSyntaxError(f"number too long at {pos}") from None
-            pos = j
-            return nat(v)
-        expect("(")
-        members = parse_set()
-        expect("->")
-        cons = parse_elem()
-        expect(")")
-        return arrow(members, cons)
-
-    def parse_set():
-        nonlocal pos
-        expect("{")
-        skip_ws()
-        members = []
-        if pos < n and text[pos] == "}":
-            pos += 1
-            return EMPTY_SET
-        while True:
-            members.append(parse_elem())
-            skip_ws()
-            if pos < n and text[pos] == ",":
-                pos += 1
-                continue
-            expect("}")
-            return gset(members)
-
     try:
-        e = parse_elem()
+        e, pos = _parse_elem(text, 0)
     except RecursionError:
         raise ElementSyntaxError("element text nested too deeply") from None
-    skip_ws()
-    if pos != n:
+    pos = _skip_ws(text, pos)
+    if pos != len(text):
         raise ElementSyntaxError(f"trailing input at {pos} in {text!r}")
     return e
+
+
+# The parser's steps each take the text and a position in it, and return
+# what they read with the position after it.
+
+def _skip_ws(text, pos):
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _expect(text, pos, token):
+    if not text.startswith(token, pos):  # no token starts with a blank
+        pos = _skip_ws(text, pos)
+        if not text.startswith(token, pos):
+            raise ElementSyntaxError(f"expected {token!r} at {pos} in {text!r}")
+    return pos + len(token)
+
+
+def _parse_elem(text, pos):
+    pos = j = _skip_ws(text, pos)
+    while j < len(text) and text[j] in DIGITS:
+        j += 1
+    if j > pos:
+        try:
+            return nat(int(text[pos:j])), j
+        except ValueError:  # more digits than int() converts
+            raise ElementSyntaxError(f"number too long at {pos}") from None
+    members, pos = _parse_set(text, _expect(text, pos, "("))
+    cons, pos = _parse_elem(text, _expect(text, pos, "->"))
+    return arrow(members, cons), _expect(text, pos, ")")
+
+
+def _parse_set(text, pos):
+    pos = _skip_ws(text, _expect(text, pos, "{"))
+    if text.startswith("}", pos):
+        return EMPTY_SET, pos + 1
+    members = []
+    while True:
+        e, pos = _parse_elem(text, pos)
+        members.append(e)
+        pos = _skip_ws(text, pos)
+        if not text.startswith(",", pos):
+            return gset(members), _expect(text, pos, "}")
+        pos += 1
 
 
 # ---------------------------------------------------------------------------

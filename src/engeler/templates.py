@@ -756,72 +756,12 @@ def compose(t1: Template, t2: Template) -> Template:
     if not isinstance(root, ArrowPat):
         raise TemplateError(f"operator template root is not an arrow: {pretty(root)}")
 
-    b = {}
-    defer = []
-    extra_constraints = list(t1.constraints)
-
-    def add_copy(prefix):
-        """Fresh operand copy; its root and constraints are indexed by the
-        enclosing family binders so each instance varies independently."""
-        copy = fresh_copy(t2)
-        root = copy.root
-        for bn, _ in prefix:
-            root = index_append(root, bn)
-        for c in copy.constraints:
-            cb, cl, cr = c.binders, c.left, c.right
-            for bn, bar in reversed(prefix):
-                cb = ((bn, bar),) + cb
-                cl = index_append(cl, bn)
-                cr = index_append(cr, bn)
-            extra_constraints.append(Constraint(cb, cl, cr))
-        return root
-
-    def consume_member(m, prefix):
-        local = []
-        unify_elem(m, add_copy(prefix), b, local)
-        _quantify(local, prefix, defer)
-
-    def consume(ante, prefix=()):
-        ante = subst(ante, b)
-        if t2.is_empty:
-            # the operand family is empty, so the antecedent must be empty
-            local = []
-            unify_set(ante, ExplicitPat(()), b, local)
-            _quantify(local, prefix, defer)
-            return
-        if isinstance(ante, ExplicitPat):
-            for m in ante.members:
-                consume_member(m, prefix)
-            return
-        if isinstance(ante, SVar):
-            binder = f"i{next(_fresh_counter)}"
-            arity = AVar(f"n{next(_fresh_counter)}",
-                         tuple(bn for bn, _ in prefix))
-            body = add_copy(prefix + ((binder, arity),))
-            _bind(b, ante, FamilyPat(arity, binder, body))
-            return
-        if isinstance(ante, FamilyPat):
-            sub = prefix + ((ante.binder, resolve_arity(ante.arity, b)),)
-            if isinstance(ante.body, ELEM_PATS):
-                consume_member(ante.body, sub)
-            else:
-                # a union-family: the antecedent is the union over the
-                # binder of the instance sets
-                consume(ante.body, sub)
-            return
-        if isinstance(ante, UnionPat):
-            for part in ante.parts:
-                consume(part, prefix)
-            return
-        raise UnsupportedUnification(
-            f"antecedent form not supported: {type(ante).__name__}"
-        )
-
+    b, defer, extra = {}, [], list(t1.constraints)
     try:
-        consume(root.ante)
+        _consume(root.ante, (), t2, b, defer, extra)
         new_root = normalize(subst(root.cons, b))
         out = []
-        for c in defer + extra_constraints:
+        for c in defer + extra:
             c = _subst_constraint(c, b)
             # composition builds no values and its element patterns end in
             # variables, so its only ground set is {}: {} = {} says nothing
@@ -832,6 +772,67 @@ def compose(t1: Template, t2: Template) -> Template:
     except _Clash:
         return EMPTY_TEMPLATE
     return Template(new_root, tuple(out))
+
+
+def _consume(ante, prefix, t2, b, defer, extra):
+    """Unify operator antecedent `ante`, inside the family binders of
+    prefix, with fresh copies of operand template t2: bindings go to b,
+    deferred equations to defer, the copies' own constraints to extra."""
+    ante = subst(ante, b)
+    if t2.is_empty:
+        # the operand family is empty, so the antecedent must be empty
+        local = []
+        unify_set(ante, ExplicitPat(()), b, local)
+        _quantify(local, prefix, defer)
+        return
+    if isinstance(ante, ExplicitPat):
+        for m in ante.members:
+            _consume_member(m, prefix, t2, b, defer, extra)
+        return
+    if isinstance(ante, SVar):
+        binder = f"i{next(_fresh_counter)}"
+        arity = AVar(f"n{next(_fresh_counter)}", tuple(bn for bn, _ in prefix))
+        body = _operand_copy(t2, prefix + ((binder, arity),), extra)
+        _bind(b, ante, FamilyPat(arity, binder, body))
+        return
+    if isinstance(ante, FamilyPat):
+        sub = prefix + ((ante.binder, resolve_arity(ante.arity, b)),)
+        if isinstance(ante.body, ELEM_PATS):
+            _consume_member(ante.body, sub, t2, b, defer, extra)
+        else:
+            # a union-family: the antecedent is the union over the
+            # binder of the instance sets
+            _consume(ante.body, sub, t2, b, defer, extra)
+        return
+    if isinstance(ante, UnionPat):
+        for part in ante.parts:
+            _consume(part, prefix, t2, b, defer, extra)
+        return
+    raise UnsupportedUnification(f"antecedent form not supported: {type(ante).__name__}")
+
+
+def _consume_member(m, prefix, t2, b, defer, extra):
+    local = []
+    unify_elem(m, _operand_copy(t2, prefix, extra), b, local)
+    _quantify(local, prefix, defer)
+
+
+def _operand_copy(t2, prefix, extra):
+    """Fresh operand copy; its root and constraints are indexed by the
+    enclosing family binders so each instance varies independently.  The
+    copy's constraints go to extra, and its root is returned."""
+    copy = fresh_copy(t2)
+    root = copy.root
+    for bn, _ in prefix:
+        root = index_append(root, bn)
+    for c in copy.constraints:
+        cb, cl, cr = c.binders, c.left, c.right
+        for bn, bar in reversed(prefix):
+            cb = ((bn, bar),) + cb
+            cl = index_append(cl, bn)
+            cr = index_append(cr, bn)
+        extra.append(Constraint(cb, cl, cr))
+    return root
 
 
 @lru_cache(maxsize=None)
@@ -854,7 +855,8 @@ def template_of(term: Term) -> Template:
 
 
 # a union with one open part tries every subset of the covered elements as
-# its overlap with the ground parts while there are at most this many
+# its overlap with the ground parts; with more covered elements than this
+# it raises UnsupportedMatch, so its False never rests on a guess
 _MAX_UNION_GROUND = 6
 
 
@@ -917,30 +919,21 @@ class Matcher:
             return
         raise UnsupportedMatch(f"set pattern {type(p).__name__}")
 
-    def _match_listing(self, members, g, b):
+    def _match_listing(self, members, g, b, idx=0, used=frozenset()):
         # each member pattern maps to some element; jointly they cover g.
-        # A branch is cut when the members left cannot cover the elements
-        # not yet used, one each: it could never yield.
-        if not members:
-            if len(g) == 0:
+        # members[idx:] are left, and used holds the positions in g that
+        # the others took.  A branch is cut when the members left cannot
+        # cover the elements not yet used, one each: it could never yield.
+        if idx == len(members):
+            if len(used) == len(g):
                 yield b
             return
-        elems = list(g)
-        last = len(members)
-
-        def go(idx, bb, used):
-            if idx == last:
-                if len(used) == len(elems):
-                    yield bb
-                return
-            for j, e in enumerate(elems):
-                used1 = used | {j}
-                if len(elems) - len(used1) > last - idx - 1:
-                    continue
-                for b1 in self.match_elem(members[idx], e, bb):
-                    yield from go(idx + 1, b1, used1)
-
-        yield from go(0, b, frozenset())
+        for j, e in enumerate(g):
+            used1 = used | {j}
+            if len(g) - len(used1) > len(members) - idx - 1:
+                continue
+            for b1 in self.match_elem(members[idx], e, b):
+                yield from self._match_listing(members, g, b1, idx + 1, used1)
 
     def _arity_candidates(self, a, g, b):
         a = resolve_arity(a, b)
@@ -966,15 +959,11 @@ class Matcher:
                 if len(g) == 0:
                     yield b0
                 continue
-            if body_is_elem:
-                yield from self._family_listing(p, n, g, b0)
+            if body_is_elem:  # indices 1..n mapped onto the elements
+                members = [reindex(p.body, p.binder, i) for i in range(1, n + 1)]
+                yield from self._match_listing(members, g, b0)
             else:
                 yield from self._family_union(p, n, g, b0)
-
-    def _family_listing(self, p, n, g, b):
-        # surjective assignments of indices 1..n to the elements
-        members = [reindex(p.body, p.binder, i) for i in range(1, n + 1)]
-        yield from self._match_listing(members, g, b)
 
     def _family_union(self, p, n, g, b):
         # union over i of set-valued bodies equals g
@@ -987,21 +976,19 @@ class Matcher:
         if len(g) > 4 or n > 4:
             raise UnsupportedMatch("union family too wide to search")
         subsets = [gset(sub) for sub in _subsets(list(g))]
+        yield from self._union_of(inst, subsets, members, b)
 
-        def go(i, bb, acc):
-            if i == n:
-                if acc == members:
-                    yield bb
-                return
-            body_i = inst[i]
-            if isinstance(body_i, GSet):
-                yield from go(i + 1, bb, acc.union(body_i))
-                return
-            for sub in subsets:
-                for b1 in self.match_set(_concretize(body_i, bb), sub, bb):
-                    yield from go(i + 1, b1, acc.union(sub))
-
-        yield from go(0, b, frozenset())
+    def _union_of(self, inst, subsets, members, b, i=0, acc=frozenset()):
+        """Bindings under which inst[i:], each taking one of subsets,
+        join acc to exactly members.  A ground instance takes the subset
+        that equals it, if there is one."""
+        if i == len(inst):
+            if acc == members:
+                yield b
+            return
+        for sub in subsets:
+            for b1 in self.match_set(_concretize(inst[i], b), sub, b):
+                yield from self._union_of(inst, subsets, members, b1, i + 1, acc.union(sub))
 
     def _match_union(self, p, g, b):
         ground_parts, open_parts = [], []
@@ -1023,18 +1010,13 @@ class Matcher:
                 yield b
             return
         if len(open_parts) == 1:
-            extras = list(covered)
-            if len(extras) > _MAX_UNION_GROUND:
-                option_sets = [leftover, list(g)]
-            else:
-                option_sets = [leftover + list(sub) for sub in _subsets(extras)]
-            seen = set()
-            for opt in option_sets:
-                val = gset(opt)
-                if val in seen:
-                    continue
-                seen.add(val)
-                yield from self.match_set(open_parts[0], val, b)
+            # the open part holds the leftover and any of the covered
+            # elements; leftover and covered are disjoint, so each choice
+            # is a distinct set
+            if len(covered) > _MAX_UNION_GROUND:
+                raise UnsupportedMatch("open union part overlaps too many ground elements")
+            for sub in _subsets(list(covered)):
+                yield from self.match_set(open_parts[0], gset(leftover + list(sub)), b)
             return
         if len(open_parts) == 2 and len(leftover) <= 4 and len(g) <= 4:
             # split the leftover between the two open parts, allowing overlap
@@ -1071,7 +1053,9 @@ class _ConstraintCheck:
     equation's verdict, a raise included, is cached on the values both
     sides read: bindings that differ only elsewhere share them.  The
     equations are still tried in order, so the first False (or raise) is
-    the one an unmemoised check would give.  The instances of families
+    the one an unmemoised check would give.  A memoised error is kept
+    without its traceback, which would hold the check's frames, and each
+    raise of it raises a fresh copy.  The instances of families
     and binders that the equations and the enumerator expand depend only
     on the template, so they are built once each and kept in a table.  A
     check never sees a second template, and it is dropped with the call.
@@ -1092,7 +1076,7 @@ class _ConstraintCheck:
             if ok is not True:
                 if ok is False:
                     return False
-                raise ok
+                raise type(ok)(*ok.args)
         return True
 
     def refutes(self, indices, b):
@@ -1126,7 +1110,7 @@ class _ConstraintCheck:
             try:
                 ok = self._holds(self.constraints[i], b, left, right)
             except TemplateError as exc:
-                ok = exc
+                ok = exc.with_traceback(None)
             self.memo[key] = ok
         return ok
 
@@ -1476,32 +1460,30 @@ class _Enumerator:
         insts = [inst(p.body, p.binder, i) for i in range(1, n + 1)]
         yield from self._gen_union(insts, depth, b, allowed)
 
-    def _gen_union(self, parts, depth, b, allowed=None):
+    def _gen_union(self, parts, depth, b, allowed=None, idx=0, acc=frozenset(),
+                   big=EMPTY_SET):
         """The union of the parts' values (an element part adds itself),
         each branch cut as soon as the union so far has more than
         max_set_size members: the final union could only be larger.  Once
-        the union is full, a part may only take members it already has."""
-        cap = self.bounds.max_set_size
-        last = len(parts)
-
-        def go(idx, bb, acc, big):
-            if idx == last:
-                yield _union_value(acc, big), bb
-                return
-            part = parts[idx]
-            room = acc if len(acc) == cap else allowed
-            if isinstance(part, ELEM_PATS):
-                for v, b1 in self.gen_elem(part, depth, bb, room):
-                    acc1 = acc | {v}
-                    if len(acc1) <= cap:
-                        yield from go(idx + 1, b1, acc1, big)
-            else:
-                for s, b1 in self.gen_set(part, depth, bb, room):
-                    acc1 = acc.union(s)
-                    if len(acc1) <= cap:
-                        yield from go(idx + 1, b1, acc1, s if len(s) > len(big) else big)
-
-        yield from go(0, b, frozenset(), EMPTY_SET)
+        the union is full, a part may only take members it already has.
+        parts[idx:] are left; acc holds the members so far, and big is the
+        largest part that went into it."""
+        if idx == len(parts):
+            yield _union_value(acc, big), b
+            return
+        cap, part = self.bounds.max_set_size, parts[idx]
+        room = acc if len(acc) == cap else allowed
+        if isinstance(part, ELEM_PATS):
+            for v, b1 in self.gen_elem(part, depth, b, room):
+                acc1 = acc | {v}
+                if len(acc1) <= cap:
+                    yield from self._gen_union(parts, depth, b1, allowed, idx + 1, acc1, big)
+        else:
+            for s, b1 in self.gen_set(part, depth, b, room):
+                acc1 = acc.union(s)
+                if len(acc1) <= cap:
+                    yield from self._gen_union(parts, depth, b1, allowed, idx + 1, acc1,
+                                               s if len(s) > len(big) else big)
 
 
 _NO_CHECKS = ((), ())
@@ -1533,6 +1515,11 @@ def _check_plan(t: Template):
     one at a time.  From there on the binding gives the constraint's
     variables the values the finished binding gives them, and its verdict
     depends on nothing else, so a False there is the root check's False.
+    It is also checked where each of its sides, binders' arities included,
+    becomes ground on its own, if all that side's variables are root
+    variables.  There the check matches the open side against the ground
+    one with the unbound variables free, so a False says that the matcher
+    finds no completion of the branch that satisfies the equation.
     A side on the root's consequent spine ends where the root does, and
     the root check follows it at once, so it gets no check of its own.
     """
@@ -1560,12 +1547,17 @@ def _check_plan(t: Template):
     while isinstance(p, ArrowPat):
         spine.add((p, 1))
         p = p.cons
+    rooted = {name for name, _ in found}
     plan = {}
     for i, c in enumerate(t.constraints):
-        reads = _reads(c)
-        side = next((s for name, s in reversed(found) if name in reads), (root, 0))
-        if side not in spine:
-            plan.setdefault(side[0], ([], []))[side[1]].append(i)
+        reads, points = _reads(c), set()
+        for sides in (_LEFT | _RIGHT, _LEFT, _RIGHT):  # both bound, then each alone
+            own = {name for name, s in reads.items() if s & sides}
+            if sides == _LEFT | _RIGHT or own <= rooted:
+                points.add(next((s for name, s in reversed(found) if name in own),
+                                (root, 0)))
+        for p, k in points - spine:
+            plan.setdefault(p, ([], []))[k].append(i)
     return {p: (tuple(ante), tuple(cons)) for p, (ante, cons) in plan.items()}
 
 
@@ -1590,10 +1582,15 @@ def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
       holds max_set_size members, the rest of it is built only from those
       members, so nothing is built that this cut would drop.
     - Each retained constraint is checked as soon as the branch has bound
-      every root variable it reads (`_check_plan`), and the branch is cut
-      when it fails.  The constraint's verdict depends only on its own
-      variables' values, which nothing later changes.  A constraint that
-      raises there cuts nothing and raises nothing.
+      every root variable it reads, and also as soon as it has bound all
+      the variables of one of its sides (`_check_plan`); the branch is cut
+      when it fails.  With both sides bound the verdict depends only on
+      their values, which nothing later changes.  With one side ground,
+      the other is matched against it with its unbound variables free, so
+      a False says that the matcher finds no completion of the branch
+      that passes; where it would have to guess among the overlaps of an
+      open union part, it raises instead.  A constraint that raises there
+      cuts nothing and raises nothing.
     Every binding that survives is then checked against all retained
     constraints in order, so the first that fails or raises decides.
     The enumerator, the early checks and this last check share one

@@ -259,11 +259,11 @@ def test_closure_sweep_reports_unsupported_terms(capsys, monkeypatch):
     import engeler.terms
 
     monkeypatch.setattr(engeler.terms, "enumerate_s_terms", lambda max_leaves: [
-        engeler.terms.parse_term("S(S(SS))S"), engeler.terms.parse_term("S")])
+        engeler.terms.parse_term("S(SS)SS"), engeler.terms.parse_term("S")])
     code, out, _ = run(capsys, "closure-sweep", "--max-leaves", "5", "--max-rank", "3",
                        "--max-set-size", "1", "--max-nat", "0")
     assert code == 0
-    assert "[?? ] S(S(SS))S  unsupported: " in out
+    assert "[?? ] S(SS)SS  unsupported: " in out
     assert "unsupported=1" in out
 
 

@@ -172,16 +172,16 @@ def test_sweep_counts_b0_based_elements_only():
 
 
 def test_sweep_records_unsupported_terms(monkeypatch):
-    # S(S(SS))S is the smallest S-term whose enumeration at rank 3, set
-    # width 1 meets a retained equation the matcher cannot decide
+    # S(SS)SS is an S-term whose enumeration at rank 3, set width 1 meets
+    # a retained equation the matcher cannot decide
     import engeler.terms
 
     monkeypatch.setattr(engeler.terms, "enumerate_s_terms",
-                        lambda max_leaves: [parse_term("S(S(SS))S"), parse_term("S")])
+                        lambda max_leaves: [parse_term("S(SS)SS"), parse_term("S")])
     records, summary = sweep_closure(max_leaves=5, max_rank=3, set_width=1,
                                      max_nat=0, budget=400_000)
     assert summary["terms"] == 2
-    assert list(summary["unsupported"]) == ["S(S(SS))S"]
-    assert summary["rank_reached"] == {"S(S(SS))S": 0, "S": 3}
+    assert list(summary["unsupported"]) == ["S(SS)SS"]
+    assert summary["rank_reached"] == {"S(SS)SS": 0, "S": 3}
     assert records and summary["elements"] == len(records)
     assert {r["sigma"] for r in records} == {"S"}

@@ -4,6 +4,7 @@ Golden texts go through canon_template_text because fresh-variable
 suffixes are allocation-order dependent; the canonical form is stable.
 """
 
+import gc
 import itertools
 import json
 import sys
@@ -14,6 +15,7 @@ from engeler.companion import b0_base, closure_report
 from engeler.oracle import member_oracle
 from engeler.model import (
     Arrow, Bounds, GElem, GSet, count_g, enumerate_g, gset, max_width, nat, parse_gelem,
+    universe,
 )
 from engeler.templates import (
     AVar,
@@ -473,6 +475,68 @@ def test_early_check_decides_where_a_later_constraint_raises():
     with pytest.raises(UnsupportedMatch):
         _reference_enumeration(t, Bounds(3, 1, 0))
     assert enumerate_template(t, Bounds(3, 1, 0)) == ([], True)
+
+
+def test_a_ground_side_refutes_before_the_other_side_is_bound():
+    # S(S(SS))K at (2,1,0): every candidate's full check reaches an
+    # equation with both sides open, but as soon as one side is ground the
+    # other cannot match it, so the enumeration answers; the oracle agrees
+    sigma = parse_term("S(S(SS))K")
+    t = template_of(sigma)
+    with pytest.raises(UnsupportedMatch):
+        _reference_enumeration(t, Bounds(2, 1, 0))
+    assert enumerate_template(t, Bounds(2, 1, 0)) == ([], True)
+    elems = universe(2, 1, 0)
+    assert len(elems) == 13
+    assert not any(member_oracle(sigma, e) for e in elems)
+
+
+def test_one_side_checks_keep_s_ss_at_rank3_set_size2():
+    t = template_of(parse_term("S(SS)"))
+    bounds = Bounds(3, 2, 0)
+    assert enumerate_template(t, bounds)[0] == _reference_enumeration(t, bounds)
+
+
+def test_one_side_checks_cut_enumeration_steps(monkeypatch):
+    # checking each constraint of S(S(SS)) at (3,1,0) only once both of its
+    # sides are bound takes 13,701 steps
+    made = _recording_enumerators(monkeypatch)
+    enumerate_template(template_of(parse_term("S(S(SS))")), Bounds(3, 1, 0))
+    assert made[0].steps < 13_701
+
+
+def test_open_union_part_beside_too_many_ground_elements_raises():
+    # trying only some overlaps of the open part with the 7 covered
+    # elements could answer False where a binding exists
+    covered = gset(universe(2, 1, 0)[:7])
+    assert len(covered) == 7
+    union = UnionPat((covered, SVar("f")))
+    with pytest.raises(UnsupportedMatch):
+        next(Matcher().match_set(union, gset(universe(2, 1, 0)), {}))
+
+
+def test_template_layer_leaves_no_cyclic_garbage():
+    # each call frees what it built by reference counting alone, so the
+    # cyclic collector finds nothing after a run of the public functions
+    template_of.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        sigma = parse_term("S(S(S(SS)))")
+        t = template_of(sigma)
+        elems, _ = enumerate_template(t, Bounds(3, 1, 0))
+        assert member_via_template(t, elems[0])
+        failing = template_of(parse_term("S(SSK)K"))  # a known failure
+        e = parse_gelem("({({} -> ({} -> ({1} -> 1)))} -> ({1} -> 1))")
+        assert _outcome(lambda: member_via_template(failing, e)) == "UnsupportedMatch"
+        assert _outcome(lambda: enumerate_template(template_of(parse_term("S(SS)SS")),
+                                                   Bounds(3, 1, 0))) == "UnsupportedMatch"
+        m, n = gset([parse_gelem("({0} -> 0)"), nat(1)]), gset([nat(0)])
+        assert apply_template_chain(base_template("K"), [m, n], Bounds(2, 1, 1))[0]
+        assert [closure_report(sigma, e) for e in elems if b0_base(e) is not None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _spelled_out(p, b):
