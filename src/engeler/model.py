@@ -376,10 +376,9 @@ def _skip_ws(text, pos):
 
 
 def _expect(text, pos, token):
-    if not text.startswith(token, pos):  # no token starts with a blank
-        pos = _skip_ws(text, pos)
-        if not text.startswith(token, pos):
-            raise ElementSyntaxError(f"expected {token!r} at {pos} in {text!r}")
+    pos = _skip_ws(text, pos)
+    if not text.startswith(token, pos):
+        raise ElementSyntaxError(f"expected {token!r} at {pos} in {text!r}")
     return pos + len(token)
 
 

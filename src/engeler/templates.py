@@ -865,11 +865,13 @@ class Matcher:
 
     `slack` widens the arity range tried for listing families whose arity
     variable is shared elsewhere: a family {r_i : i <= n} may be realized
-    by fewer than n distinct values when instances collapse.
+    by fewer than n distinct values when instances collapse.  A set-bodied
+    family may realize g, {} included, with fewer than len(g) instances:
+    such arities are tried only for the arity variables named in `exact`.
     """
 
-    def __init__(self, slack=0):
-        self.slack = slack
+    def __init__(self, slack=0, exact=frozenset()):
+        self.slack, self.exact = slack, exact
 
     # -- elements ----------------------------------------------------
     def match_elem(self, p, v, b):
@@ -935,19 +937,19 @@ class Matcher:
             for b1 in self.match_elem(members[idx], e, b):
                 yield from self._match_listing(members, g, b1, idx + 1, used1)
 
-    def _arity_candidates(self, a, g, b):
+    def _arity_candidates(self, a, g, b, body_is_elem):
         a = resolve_arity(a, b)
         if isinstance(a, int):
             return a, [a]
-        if len(g) == 0:
-            # a family with at least one index never realizes the empty set
-            return a, ([0] if a.minimum == 0 else [])
-        lo = max(a.minimum, len(g))
-        return a, list(range(lo, len(g) + self.slack + 1))
+        if body_is_elem or a.name not in self.exact:
+            if len(g) == 0:  # {} takes n = 0 when the body is an element
+                return a, ([0] if a.minimum == 0 else [])
+            return a, list(range(max(a.minimum, len(g)), len(g) + self.slack + 1))
+        return a, list(range(a.minimum, len(g) + self.slack + 1))
 
     def _match_family(self, p, g, b):
         body_is_elem = isinstance(p.body, ELEM_PATS)
-        a, candidates = self._arity_candidates(p.arity, g, b)
+        a, candidates = self._arity_candidates(p.arity, g, b, body_is_elem)
         for n in candidates:
             if n < len(g) and body_is_elem:
                 continue
@@ -1010,9 +1012,8 @@ class Matcher:
                 yield b
             return
         if len(open_parts) == 1:
-            # the open part holds the leftover and any of the covered
-            # elements; leftover and covered are disjoint, so each choice
-            # is a distinct set
+            # the open part holds the leftover and any covered elements;
+            # the two are disjoint, so each choice is a distinct set
             if len(covered) > _MAX_UNION_GROUND:
                 raise UnsupportedMatch("open union part overlaps too many ground elements")
             for sub in _subsets(list(covered)):
@@ -1055,16 +1056,16 @@ class _ConstraintCheck:
     equations are still tried in order, so the first False (or raise) is
     the one an unmemoised check would give.  A memoised error is kept
     without its traceback, which would hold the check's frames, and each
-    raise of it raises a fresh copy.  The instances of families
-    and binders that the equations and the enumerator expand depend only
-    on the template, so they are built once each and kept in a table.  A
+    raise of it raises a fresh copy.  The instances of families and
+    binders that the equations and the enumerator expand depend only on
+    the template, so they are built once each and kept in a table.  A
     check never sees a second template, and it is dropped with the call.
     """
 
-    def __init__(self, constraints, slack, max_arity=4):
+    def __init__(self, constraints, slack, max_arity=4, exact=frozenset()):
         self.constraints = constraints
         self.max_arity = max_arity
-        self.matcher = Matcher(slack)
+        self.matcher = Matcher(slack, exact)
         self.reads = [_reads(c) for c in constraints]
         self.memo = {}
         self.sides = {}  # (side, the values it reads) -> its concretized form
@@ -1509,7 +1510,8 @@ def _check_plan(t: Template):
 
     Returns a map from arrow patterns of t's root to the indices of the
     constraints checked as soon as the arrow's antecedent, and as soon as
-    its consequent, is bound.  A constraint is checked at the arrow side
+    its consequent, is bound, and the names of the root's arity variables
+    (see `enumerate_template`).  A constraint is checked at the arrow side
     that binds the last root node mentioning one of its variables: the
     innermost such side outside every family, whose instances are bound
     one at a time.  From there on the binding gives the constraint's
@@ -1517,22 +1519,22 @@ def _check_plan(t: Template):
     depends on nothing else, so a False there is the root check's False.
     It is also checked where each of its sides, binders' arities included,
     becomes ground on its own, if all that side's variables are root
-    variables.  There the check matches the open side against the ground
-    one with the unbound variables free, so a False says that the matcher
-    finds no completion of the branch that satisfies the equation.
+    variables.  There the open side is matched against the ground one with
+    its unbound variables free, at every arity the enumerator could bind,
+    so a False says that no completion of the branch passes.
     A side on the root's consequent spine ends where the root does, and
     the root check follows it at once, so it gets no check of its own.
     """
     root = t.root
     if not t.constraints or not isinstance(root, ArrowPat):
-        return {}
+        return {}, frozenset()
     # each variable node in walk order, with the side that binds it
     found = []
     stack = [(root, None, False)]
     while stack:
         p, side, in_family = stack.pop()
         if isinstance(p, _Var):
-            found.append((p.name, side))
+            found.append((p, side))
         elif isinstance(p, ArrowPat) and not in_family:
             stack.append((p.cons, (p, 1), False))
             stack.append((p.ante, (p, 0), False))
@@ -1547,18 +1549,18 @@ def _check_plan(t: Template):
     while isinstance(p, ArrowPat):
         spine.add((p, 1))
         p = p.cons
-    rooted = {name for name, _ in found}
+    rooted = {q.name for q, _ in found}
     plan = {}
     for i, c in enumerate(t.constraints):
         reads, points = _reads(c), set()
         for sides in (_LEFT | _RIGHT, _LEFT, _RIGHT):  # both bound, then each alone
             own = {name for name, s in reads.items() if s & sides}
             if sides == _LEFT | _RIGHT or own <= rooted:
-                points.add(next((s for name, s in reversed(found) if name in own),
-                                (root, 0)))
+                points.add(next((s for q, s in reversed(found) if q.name in own), (root, 0)))
         for p, k in points - spine:
             plan.setdefault(p, ([], []))[k].append(i)
-    return {p: (tuple(ante), tuple(cons)) for p, (ante, cons) in plan.items()}
+    return ({p: (tuple(ante), tuple(cons)) for p, (ante, cons) in plan.items()},
+            frozenset(q.name for q, _ in found if isinstance(q, AVar)))
 
 
 def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
@@ -1586,11 +1588,11 @@ def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
       the variables of one of its sides (`_check_plan`); the branch is cut
       when it fails.  With both sides bound the verdict depends only on
       their values, which nothing later changes.  With one side ground,
-      the other is matched against it with its unbound variables free, so
-      a False says that the matcher finds no completion of the branch
-      that passes; where it would have to guess among the overlaps of an
-      open union part, it raises instead.  A constraint that raises there
-      cuts nothing and raises nothing.
+      the other is matched against it with its unbound variables free, at
+      every arity the enumerator could give them (the matcher's slack is at
+      least max_arity, and the root's arity variables are `exact` to it),
+      so a False says that no completion of the branch passes; a match that
+      would guess raises, and a constraint that raises there cuts nothing.
     Every binding that survives is then checked against all retained
     constraints in order, so the first that fails or raises decides.
     The enumerator, the early checks and this last check share one
@@ -1601,8 +1603,9 @@ def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
     if t.is_empty:
         return [], False
     slack = max(bounds.max_set_size, bounds.max_arity)
-    check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)
-    enum = _Enumerator(bounds, check, budget, _check_plan(t))
+    plan, arities = _check_plan(t)
+    check = _ConstraintCheck(t.constraints, slack, bounds.max_arity, arities)
+    enum = _Enumerator(bounds, check, budget, plan)
     out = []
     seen = set()
     for v, b in enum.gen_elem(t.root, bounds.max_rank, {}):

@@ -438,7 +438,7 @@ def test_rank3_enumeration_matches_reference(text):
 def test_rank2_enumeration_with_constraints_matches_reference(text):
     t = template_of(parse_term(text))
     bounds = Bounds(2, 1, 0)
-    assert _check_plan(t)
+    assert _check_plan(t)[0]
     assert enumerate_template(t, bounds)[0] == _reference_enumeration(t, bounds)
 
 
@@ -462,7 +462,7 @@ def test_early_checks_cut_enumeration_steps(monkeypatch):
     # whole takes 16,257 steps
     made = _recording_enumerators(monkeypatch)
     t = template_of(parse_term("S(SSS)S"))
-    assert _check_plan(t)  # a constraint is checked before the root
+    assert _check_plan(t)[0]  # a constraint is checked before the root
     elems, _ = enumerate_template(t, Bounds(3, 1, 0))
     assert elems == _reference_enumeration(t, Bounds(3, 1, 0))
     assert made[0].steps < 16_257
@@ -513,6 +513,32 @@ def test_open_union_part_beside_too_many_ground_elements_raises():
     union = UnionPat((covered, SVar("f")))
     with pytest.raises(UnsupportedMatch):
         next(Matcher().match_set(union, gset(universe(2, 1, 0)), {}))
+
+
+def _set_union_family():
+    return FamilyPat(AVar("n", minimum=1), "i", SVar("f", ("i",)))
+
+
+def test_exact_arity_realizes_the_empty_set_with_a_set_body():
+    # one instance f[1] = {} realizes {}; a matcher that tried no arity
+    # here would answer False
+    bindings = list(Matcher(slack=1, exact={"n"}).match_set(_set_union_family(), gset([]), {}))
+    assert bindings and bindings[0][("a", "n", ())] == 1
+    assert bindings[0][("s", "f", (1,))] == gset([])
+
+
+def test_one_side_check_tries_every_arity_of_an_open_set_bodied_family():
+    # X = U(i in 1..n) f[i] is checked once X is bound, while n and f are
+    # still open; X = {} must survive, as n = 1, f[1] = {} completes it
+    union = _set_union_family()
+    t = Template(ArrowPat(SVar("X"), ArrowPat(union, nat(0))),
+                 (Constraint((), SVar("X"), union),))
+    plan, arities = _check_plan(t)
+    assert plan[t.root] == ((0,), ()) and arities == {"n"}
+    for bounds in (Bounds(2, 1, 0), Bounds(2, 2, 0)):
+        got = enumerate_template(t, bounds)[0]
+        assert got == _reference_enumeration(t, bounds)
+        assert parse_gelem("({} -> ({} -> 0))") in got
 
 
 def test_template_layer_leaves_no_cyclic_garbage():
