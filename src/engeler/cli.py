@@ -27,11 +27,12 @@ from .model import (
     Denotation,
     ElementSyntaxError,
     Extensional,
+    GElem,
+    Nat,
     enumerate_g,
     eval_setexpr,
     extensional_bullet,
     gelem_from_json,
-    gelem_to_json,
     gelem_to_text,
     gset,
     gset_to_text,
@@ -157,11 +158,33 @@ class Emitter:
 
 def _json_line(obj: dict) -> str:
     """json.dumps(obj, sort_keys=True), except that a Term value is written
-    by term_json, so that a term of any depth is written."""
+    by term_json and a GElem value by _gelem_json, so that a term or an
+    element of any depth is written."""
     return "{" + ", ".join(
         f"{json.dumps(key)}: "
-        + (term_json(val) if isinstance(val, Term) else json.dumps(val, sort_keys=True))
+        + (term_json(val) if isinstance(val, Term)
+           else _gelem_json(val) if isinstance(val, GElem)
+           else json.dumps(val, sort_keys=True))
         for key, val in sorted(obj.items())) + "}"
+
+
+def _gelem_json(e: GElem) -> str:
+    """json.dumps(gelem_to_json(e), sort_keys=True), written with its own
+    stack, so that an element of any depth is written."""
+    out, work = [], [e]
+    while work:
+        node = work.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Nat):
+            out.append(f'{{"nat": {node.value}}}')
+        else:
+            out.append('{"arrow": {"elem": ')
+            work.append("]}}")
+            for i, m in enumerate(reversed(node.ante.elems)):
+                work += (", ", m) if i else (m,)
+            work += (', "set": [', node.cons)
+    return "".join(out)
 
 
 @dataclass
@@ -346,7 +369,7 @@ def cmd_member(args, em, cfg):
     else:
         got = member_via_template(template_of(t), e)
     em.emit("true" if got else "false",
-            {"term": print_term(t), "element": gelem_to_json(e),
+            {"term": print_term(t), "element": e,
              "member": got, "via": args.via})
     return EXIT_OK
 
@@ -357,8 +380,7 @@ def cmd_enumerate(args, em, cfg):
                     max_nat=cfg["max_nat"], max_arity=cfg["max_arity"])
     elems, _ = enumerate_template(tpl, bounds, budget=cfg["budget"])
     for e in elems:
-        em.emit(gelem_to_text(e), {"element": gelem_to_json(e),
-                                   "text": gelem_to_text(e)})
+        em.emit(gelem_to_text(e), {"element": e, "text": gelem_to_text(e)})
     em.note(f"count={len(elems)} within rank<={bounds.max_rank} "
             f"set<={bounds.max_set_size} nat<={bounds.max_nat}")
     if em.as_json:
@@ -378,7 +400,7 @@ def cmd_apply(args, em, cfg):
     # extensional application reads only the rank bound
     result = eval_setexpr(expr, bounds=Bounds(max_rank=cfg["max_rank"]))
     for e in sorted(result.elements):
-        em.emit(gelem_to_text(e), {"element": gelem_to_json(e)})
+        em.emit(gelem_to_text(e), {"element": e})
     em.note(f"count={len(result.elements)} truncated={result.truncated}")
     if em.as_json:
         em.emit("", {"count": len(result.elements),
@@ -862,7 +884,7 @@ def main(argv=None) -> int:
     # ParseError, ElementSyntaxError, JSONDecodeError and ConfigError are
     # ValueErrors, and BudgetExceeded is a TemplateError.  A RecursionError
     # is input nested deeper than some recursive step allows, such as the
-    # JSON encoder writing out a deep element.
+    # JSON encoder writing out a deep template.
     try:
         return args.fn(args, Emitter(args.json), effective_settings(args))
     except (ParseError, ElementSyntaxError, json.JSONDecodeError, ConfigError,

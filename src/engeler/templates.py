@@ -288,16 +288,17 @@ def _map_vars(p, var_fn, binder_fn=None, shadow=None):
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def rename_vars(p, suffix):
-    """Append a namespace suffix to every variable and binder name.
+def rename_vars(p, suffix, append=()):
+    """Append a namespace suffix to every variable and binder name, and the
+    index components `append` to every variable's index.
 
     String index components are references to family binders of the same
     template, so they are renamed along with the binders themselves.
     """
 
     def rename(v):
-        return v.rebuild(v.name + suffix,
-                         tuple(c + suffix if isinstance(c, str) else c for c in v.index))
+        return v.rebuild(v.name + suffix, tuple(
+            c + suffix if isinstance(c, str) else c for c in v.index) + append)
 
     return _map_vars(p, rename, lambda binder: binder + suffix)
 
@@ -311,11 +312,6 @@ def reindex(p, old, new):
         return v.rebuild(v.name, tuple(new if c == old else c for c in v.index))
 
     return _map_vars(p, move, shadow=old)
-
-
-def index_append(p, comp):
-    """Append an index component to every variable (per-index fresh copy)."""
-    return _map_vars(p, lambda v: v.rebuild(v.name, v.index + (comp,)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +376,8 @@ def _schema_value(p, b):
 
 
 def subst(p, b):
+    if not b:  # composition starts with no bindings, and p is then its own result
+        return p
     if isinstance(p, (EVar, SVar)):
         v = b.get(p.key)
         if v is None and p.index:
@@ -500,12 +498,12 @@ def base_template(name):
 # unification (symbolic, used by compose)
 
 
-def _collect_foreign(p, own):
-    """Variables in p whose index mentions a binder that is neither in
-    scope inside p nor ranged over by the variable being bound, each with
-    those binders."""
+def _collect_foreign(nodes, own):
+    """Variables among nodes (as `_nodes` gives them) whose index mentions
+    a binder that is neither in scope there nor ranged over by the
+    variable being bound, each with those binders."""
     acc = {}
-    for q, scope in _nodes(p):
+    for q, scope in nodes:
         if isinstance(q, _Var):
             gammas = {c for c in q.index
                       if isinstance(c, str) and c not in scope and c not in own}
@@ -517,26 +515,29 @@ def _collect_foreign(p, own):
 def _strip_foreign(b, var, val):
     """An equation var = val(gamma) for a binder gamma that var does not
     range over holds for every instance, so val must be constant in
-    gamma: collapse each gamma-indexed variable onto its stripped form."""
+    gamma: collapse each gamma-indexed variable onto its stripped form.
+    Returns that value and its nodes."""
     own = {c for c in var.index if isinstance(c, str)}
-    foreign = _collect_foreign(val, own)
+    nodes = _nodes(val)
+    foreign = _collect_foreign(nodes, own)
     if not foreign:
-        return val
+        return val, nodes
     for key, (v, gammas) in sorted(foreign.items()):
         b[key] = v.rebuild(v.name, tuple(c for c in v.index if c not in gammas))
     val = subst(val, b)
-    if _collect_foreign(val, own):
+    nodes = _nodes(val)
+    if _collect_foreign(nodes, own):
         raise UnsupportedUnification(
             "variable occurs both inside and outside its binder's scope"
         )
-    return val
+    return val, nodes
 
 
 def _bind(b, var, val):
     if isinstance(val, (EVar, SVar)) and val.key == var.key:
         return
-    val = _strip_foreign(b, var, val)
-    val_vars = free_vars(val)
+    val, nodes = _strip_foreign(b, var, val)
+    val_vars = {q.key for q, _ in nodes if isinstance(q, _Var)}
     if var.key in val_vars:
         raise _Clash  # no finite solution
     kind, name, index = var.key
@@ -719,24 +720,6 @@ def _unify_explicit_family(e, fam, b):
 _fresh_counter = itertools.count(1)
 
 
-def fresh_copy(t: Template):
-    suffix = f".{next(_fresh_counter)}"
-    root = rename_vars(t.root, suffix)
-    cons = tuple(
-        Constraint(
-            tuple(
-                # the binder declaration must track the renamed references
-                (bn + suffix, rename_vars(ar, suffix) if isinstance(ar, AVar) else ar)
-                for bn, ar in c.binders
-            ),
-            rename_vars(c.left, suffix),
-            rename_vars(c.right, suffix),
-        )
-        for c in t.constraints
-    )
-    return Template(root, cons)
-
-
 def _subst_constraint(c, b):
     return Constraint(
         tuple(
@@ -749,20 +732,29 @@ def _subst_constraint(c, b):
 
 
 def compose(t1: Template, t2: Template) -> Template:
-    """Template of an application, from templates of operator and operand."""
+    """Template of an application, from templates of operator and operand,
+    each a base template or one that compose built, whose constraints are
+    therefore normalized."""
     if t1.is_empty:
         return EMPTY_TEMPLATE
     root = t1.root
     if not isinstance(root, ArrowPat):
         raise TemplateError(f"operator template root is not an arrow: {pretty(root)}")
 
-    b, defer, extra = {}, [], list(t1.constraints)
+    # the operator's and the operand copies' constraints, each with the
+    # names of the variables it reads
+    b, defer, extra = {}, [], [(c, _reads(c).keys()) for c in t1.constraints]
+    operand = (t2, [_reads(c).keys() for c in t2.constraints])
     try:
-        _consume(root.ante, (), t2, b, defer, extra)
+        _consume(root.ante, (), operand, b, defer, extra)
         new_root = normalize(subst(root.cons, b))
+        # a normalized constraint none of whose names b binds or bounds
+        # comes out of _subst_constraint as it went in
+        touched = {key[1] for key in b}
         out = []
-        for c in defer + extra:
-            c = _subst_constraint(c, b)
+        for c, names in [(c, None) for c in defer] + extra:
+            if names is None or not touched.isdisjoint(names):
+                c = _subst_constraint(c, b)
             # composition builds no values and its element patterns end in
             # variables, so its only ground set is {}: {} = {} says nothing
             if not c.binders and all(isinstance(q, ExplicitPat) and not q.members
@@ -774,12 +766,13 @@ def compose(t1: Template, t2: Template) -> Template:
     return Template(new_root, tuple(out))
 
 
-def _consume(ante, prefix, t2, b, defer, extra):
+def _consume(ante, prefix, operand, b, defer, extra):
     """Unify operator antecedent `ante`, inside the family binders of
-    prefix, with fresh copies of operand template t2: bindings go to b,
-    deferred equations to defer, the copies' own constraints to extra."""
+    prefix, with fresh copies of the operand template: bindings go to b,
+    deferred equations to defer, the copies' own constraints to extra.
+    operand is the template with the names each of its constraints reads."""
     ante = subst(ante, b)
-    if t2.is_empty:
+    if operand[0].is_empty:
         # the operand family is empty, so the antecedent must be empty
         local = []
         unify_set(ante, ExplicitPat(()), b, local)
@@ -787,64 +780,148 @@ def _consume(ante, prefix, t2, b, defer, extra):
         return
     if isinstance(ante, ExplicitPat):
         for m in ante.members:
-            _consume_member(m, prefix, t2, b, defer, extra)
+            _consume_member(m, prefix, operand, b, defer, extra)
         return
     if isinstance(ante, SVar):
         binder = f"i{next(_fresh_counter)}"
         arity = AVar(f"n{next(_fresh_counter)}", tuple(bn for bn, _ in prefix))
-        body = _operand_copy(t2, prefix + ((binder, arity),), extra)
+        body = _operand_copy(operand, prefix + ((binder, arity),), extra)
         _bind(b, ante, FamilyPat(arity, binder, body))
         return
     if isinstance(ante, FamilyPat):
         sub = prefix + ((ante.binder, resolve_arity(ante.arity, b)),)
         if isinstance(ante.body, ELEM_PATS):
-            _consume_member(ante.body, sub, t2, b, defer, extra)
+            _consume_member(ante.body, sub, operand, b, defer, extra)
         else:
             # a union-family: the antecedent is the union over the
             # binder of the instance sets
-            _consume(ante.body, sub, t2, b, defer, extra)
+            _consume(ante.body, sub, operand, b, defer, extra)
         return
     if isinstance(ante, UnionPat):
         for part in ante.parts:
-            _consume(part, prefix, t2, b, defer, extra)
+            _consume(part, prefix, operand, b, defer, extra)
         return
     raise UnsupportedUnification(f"antecedent form not supported: {type(ante).__name__}")
 
 
-def _consume_member(m, prefix, t2, b, defer, extra):
+def _consume_member(m, prefix, operand, b, defer, extra):
     local = []
-    unify_elem(m, _operand_copy(t2, prefix, extra), b, local)
+    unify_elem(m, _operand_copy(operand, prefix, extra), b, local)
     _quantify(local, prefix, defer)
 
 
-def _operand_copy(t2, prefix, extra):
-    """Fresh operand copy; its root and constraints are indexed by the
-    enclosing family binders so each instance varies independently.  The
-    copy's constraints go to extra, and its root is returned."""
-    copy = fresh_copy(t2)
-    root = copy.root
-    for bn, _ in prefix:
-        root = index_append(root, bn)
-    for c in copy.constraints:
-        cb, cl, cr = c.binders, c.left, c.right
-        for bn, bar in reversed(prefix):
-            cb = ((bn, bar),) + cb
-            cl = index_append(cl, bn)
-            cr = index_append(cr, bn)
-        extra.append(Constraint(cb, cl, cr))
-    return root
+def _operand_copy(operand, prefix, extra):
+    """A fresh copy of the operand template, its names renamed apart; its
+    root and constraints are indexed by the enclosing family binders so
+    each instance varies independently.  The copy's constraints go to
+    extra, each with its names: the operand's, renamed, and the arities
+    of the binders it gains.  Its root is returned."""
+    t2, names = operand
+    suffix, outer_first = f".{next(_fresh_counter)}", tuple(bn for bn, _ in prefix)
+    arities = {bar.name for _, bar in prefix if isinstance(bar, AVar)}
+    # the root's indices gain the binders outermost first, the constraints'
+    # innermost first
+    inner_first = outer_first[::-1]
+    for c, cnames in zip(t2.constraints, names):
+        # the binder declarations must track the renamed references
+        cb = tuple((bn + suffix, rename_vars(ar, suffix) if isinstance(ar, AVar) else ar)
+                   for bn, ar in c.binders)
+        extra.append((Constraint(prefix + cb, rename_vars(c.left, suffix, inner_first),
+                                 rename_vars(c.right, suffix, inner_first)),
+                      {n + suffix for n in cnames} | arities))
+    return rename_vars(t2.root, suffix, outer_first)
+
+
+class _Shape:
+    """A template that equals another exactly when the two have the same
+    `_shape_key`, with the key's hash kept."""
+
+    __slots__ = ("template", "key", "hash")
+
+    def __init__(self, t):
+        self.template, self.key = t, _shape_key(t)
+        self.hash = hash(self.key)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self.hash == other.hash and self.key == other.key
+
+
+def _shape_key(t):
+    """t up to renaming: its nodes in preorder, root first, then each
+    constraint's binders and sides, as one flat tuple of node tags, part
+    counts, integer arities and values, with each variable name and binder
+    numbered by its first appearance.  A binder in a variable's index is
+    its number bit-inverted, so it is negative and no index position.  Two
+    templates have equal keys exactly when a one-to-one renaming of names
+    and binders takes one to the other."""
+    ids, out, todo = {}, [], [t.root]
+    for c in t.constraints:
+        todo.append(len(c.binders))
+        for bn, ar in c.binders:
+            todo += (bn, ar)
+        todo += (c.left, c.right)
+    todo.reverse()
+    while todo:
+        p = todo.pop()
+        if isinstance(p, _Var):
+            out += (p.kind, ids.setdefault(p.name, len(ids)), len(p.index))
+            out += [~ids.setdefault(c, len(ids)) if isinstance(c, str) else c
+                    for c in p.index]
+            if isinstance(p, AVar):
+                out.append(p.minimum)
+        elif isinstance(p, ArrowPat):
+            out.append("ar")
+            todo += (p.cons, p.ante)
+        elif isinstance(p, FamilyPat):
+            out += ("fam", ids.setdefault(p.binder, len(ids)))
+            todo += (p.body, p.arity)
+        elif isinstance(p, (ExplicitPat, UnionPat)):
+            parts = _parts(p)
+            out += ("ex" if isinstance(p, ExplicitPat) else "un", len(parts))
+            todo += reversed(parts)
+        elif isinstance(p, str):  # a constraint's binder
+            out.append(ids.setdefault(p, len(ids)))
+        else:  # an int arity or count, a value, or the empty template's root
+            out.append(p)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shape(t):
+    """t's `_Shape`, built once per template."""
+    return _Shape(t)
+
+
+@lru_cache(maxsize=None)
+def _compose_shapes(s1, s2):
+    """`compose` of the templates of two `_Shape`s, once per pair of shapes."""
+    return compose(s1.template, s2.template)
 
 
 @lru_cache(maxsize=None)
 def template_of(term: Term) -> Template:
     """Template of a closed applicative term over the K and S atoms.  A
     term nested deeper than the interpreter's recursion limit allows
-    raises TemplateError."""
+    raises TemplateError.
+
+    Composition is memoised on the shapes of operator and operand: their
+    templates up to a one-to-one renaming of variables and binders
+    (`_shape_key`).  This is exact because `compose` reads names only
+    through equality, except that `_strip_foreign` sorts assignments that
+    do not depend on one another, and makes each fresh name from a
+    counter.  So inputs equal up to renaming give outputs equal up to
+    renaming, and the memo hands back the first such output built.  The
+    variable names in a template, and in a composition error's message,
+    depend on which term of that shape the process composed first."""
     try:
         if isinstance(term, Atom):
             return base_template(term.name)
         if isinstance(term, App):
-            return compose(template_of(term.left), template_of(term.right))
+            return _compose_shapes(_shape(template_of(term.left)),
+                                   _shape(template_of(term.right)))
     except RecursionError:
         raise TemplateError("term nested too deeply") from None
     raise TemplateError("templates are defined for closed K/S terms only")
