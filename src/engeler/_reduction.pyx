@@ -6,7 +6,9 @@ Mirrors engeler.rewrite._reduces_to_py step for step: same one-step
 reducts, same (size, hash) frontier ordering, same width truncation
 before the visited set is extended.  Terms arrive as nested tuples
 (atom name | var index | (left, right)) and are hash-consed into an
-arena so equality checks inside the search are id comparisons.
+arena so equality checks inside the search are id comparisons.  The
+pure-Python search hash-conses the nodes it builds in the same way, in a
+table that lives for one call.
 """
 
 from libc.stdint cimport int64_t, uint64_t

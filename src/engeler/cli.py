@@ -446,8 +446,8 @@ def cmd_closure_sweep(args, em, cfg):
         }
         for rec in records
     ] + [
-        {"id": term, "ok": None, "detail": f"unsupported: {msg}"}
-        for term, msg in summary["unsupported"].items()
+        {"id": term, "ok": None, "detail": reason}
+        for term, reason in summary["unchecked"].items()
     ]
     report = ExperimentReport(
         name="closure-sweep",
@@ -468,7 +468,8 @@ def cmd_closure_sweep(args, em, cfg):
         f"terms={summary['terms']} elements={summary['elements']} "
         f"closed={summary['closed']} violated={summary['violated']} "
         f"no-case={summary['no_case']} "
-        f"unsupported={len(summary['unsupported'])}"
+        f"unsupported={len(summary['unsupported'])} "
+        f"coverage={summary['terms'] - len(summary['unchecked'])}/{summary['terms']}"
     )
     return EXIT_OK if report.verdict == "pass" else EXIT_EXPERIMENT
 

@@ -181,7 +181,9 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
     is skipped: summary["unsupported"] maps it to the message, and its
     rank reached is 0.  Returns (records, summary); summary counts
     closed / violated / no-case findings and notes the rank reached per
-    term.
+    term.  summary["unchecked"] maps every term with no element checked
+    to the reason: unsupported, the budget exhausted at a rank before
+    any completed, or no base-rooted element up to the rank reached.
     """
     from .model import Bounds
     from .templates import BudgetExceeded, UnsupportedMatch, enumerate_template
@@ -189,12 +191,13 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
 
     records = []
     summary = {"terms": 0, "elements": 0, "closed": 0, "violated": 0,
-               "no_case": 0, "rank_reached": {}, "unsupported": {}}
+               "no_case": 0, "rank_reached": {}, "unsupported": {},
+               "unchecked": {}}
     for sigma in enumerate_s_terms(max_leaves):
         summary["terms"] += 1
         name = print_term(sigma)
         t = template_of(sigma)
-        elems, reached = [], 0
+        elems, reached, exhausted = [], 0, None
         try:
             for rank in range(3, max_rank + 1):
                 bounds = Bounds(max_rank=rank, max_set_size=set_width,
@@ -202,16 +205,21 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
                 try:
                     cur, _ = enumerate_template(t, bounds, budget=budget)
                 except BudgetExceeded:
+                    exhausted = rank
                     break
                 elems, reached = cur, rank
         except UnsupportedMatch as exc:
             summary["unsupported"][name] = str(exc)
+            summary["unchecked"][name] = f"unsupported: {exc}"
             summary["rank_reached"][name] = 0
             continue
         summary["rank_reached"][name] = reached
-        for e in elems:
-            if b0_base(e) is None:
-                continue
+        based = [e for e in elems if b0_base(e) is not None]
+        if not based:
+            summary["unchecked"][name] = (
+                f"budget exhausted at rank {exhausted}" if exhausted and not reached else
+                f"no base-rooted element up to rank {reached}")
+        for e in based:
             summary["elements"] += 1
             rec = closure_report(sigma, e)
             records.append(rec)

@@ -30,32 +30,37 @@ keeps no steps, so it holds only the current focus and its context.
 
 `reduces_to` explores every redex choice breadth-first under fuel (path
 length) and width (frontier size) bounds, so a negative answer always
-means "not found within bounds", never a proof.  Frontier terms share
-nearly all their nodes, so the search expands terms through a table that
-lives for one call: it maps each App node, by id, to the node's one-step
-reducts in preorder (the node's own contraction, then those of its left
-side, then those of its right side), and is filled post-order with its
-own stack, so a node shared by many frontier terms is expanded once.
-Each entry holds its node, so no id is reused while the table lives;
-the table is dropped when the search returns.  `one_step_reducts` reads
-the same walk with a fresh table.
+means "not found within bounds", never a proof.  The pure-Python search
+keeps two tables for one call.  One maps each App node, by id, to its
+one-step reducts in preorder (its own contraction, then its left side's,
+then its right side's); it is filled post-order with its own stack, so a
+node shared by many frontier terms is expanded once.  The other
+hash-conses every node the search builds, as the compiled kernel's arena
+does: it maps the ids of two children to the one App made from them,
+so equal reducts are one object and set lookups match on identity
+without walking terms.  Each table holds its nodes, so no id is
+reused while they live, and both are dropped on return.  This is not the
+global interning of terms that was tried and rejected: nothing outlives
+the call, the input term is not canonicalised, and `reduce`, `contract`
+and `one_step_reducts` give the contracta in `RULES` plain `App`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .terms import App, Atom, Term, term_stats, var
 
-# atom name -> (arity, contractum of the atom applied to that many arguments)
+# atom name -> (arity, contractum of (node constructor, *that many arguments))
 RULES = {
-    "K": (2, lambda a, b: a),
-    "S": (3, lambda a, b, c: App(App(a, c), App(b, c))),
-    "B": (3, lambda a, b, c: App(a, App(b, c))),
-    "I": (1, lambda a: a),
-    "J": (4, lambda a, b, c, d: App(App(a, b), App(App(a, d), c))),
-    "L": (2, lambda a, b: App(a, App(b, b))),
-    "M": (1, lambda a: App(a, a)),
+    "K": (2, lambda app, a, b: a),
+    "S": (3, lambda app, a, b, c: app(app(a, c), app(b, c))),
+    "B": (3, lambda app, a, b, c: app(a, app(b, c))),
+    "I": (1, lambda app, a: a),
+    "J": (4, lambda app, a, b, c, d: app(app(a, b), app(app(a, d), c))),
+    "L": (2, lambda app, a, b: app(a, app(b, b))),
+    "M": (1, lambda app, a: app(a, a)),
 }
 
 DEFAULT_FUEL = 10_000
@@ -128,7 +133,7 @@ def contract(t: Term, path) -> Term:
         head, args = head.left, args + 1
     if not isinstance(head, Atom) or RULES[head.name][0] != args:
         raise RedexError(f"no redex at path {list(path)}")
-    out = _contractum(node)
+    out = _contractum(node, App)
     for parent, step in reversed(above):
         out = App(out, parent.right) if step == "left" else App(parent.left, out)
     return out
@@ -138,19 +143,21 @@ def contract(t: Term, path) -> Term:
 _NEED = {name: arity - 1 for name, (arity, _) in RULES.items()}
 
 
-def _contractum(redex: App) -> Term:
-    """The contraction of `redex`, a node whose `need` is 0."""
+def _contractum(redex: App, app) -> Term:
+    """The contraction of `redex`, a node whose `need` is 0, with its new
+    nodes built by `app`."""
     args = []
     while type(redex) is App:
         args.append(redex.right)
         redex = redex.left
-    return RULES[redex.name][1](*reversed(args))
+    return RULES[redex.name][1](app, *reversed(args))
 
 
-def _table_reducts(t: Term, table: dict):
+def _table_reducts(t: Term, table: dict, app):
     """The one-step reducts of t in redex order (preorder): t's own
-    contraction, then App(l', r) for each reduct l' of its left side, then
-    App(l, r') for each reduct r' of its right side.
+    contraction, then app(l', r) for each reduct l' of its left side, then
+    app(l, r') for each reduct r' of its right side; `app` builds every
+    new node.
 
     `table` maps id(node) to (node, reducts, need) for every App node seen
     so far, where `need` is how many more arguments the node's head takes
@@ -186,20 +193,21 @@ def _table_reducts(t: Term, table: dict):
         else:
             rreds = ()
         work.pop()
-        if id(node) in table:  # a shared node pushed twice
+        key = id(node)
+        if key in table:  # a shared node pushed twice
             continue
-        out = [_contractum(node)] if need == 0 else []
+        out = [_contractum(node, app)] if need == 0 else []
         if lreds:
-            out += [App(l, right) for l in lreds]
+            out += [app(l, right) for l in lreds]
         if rreds:
-            out += [App(left, r) for r in rreds]
-        table[id(node)] = (node, out, need)
+            out += [app(left, r) for r in rreds]
+        table[key] = (node, out, need)
     return table[id(t)][1]
 
 
 def one_step_reducts(t: Term):
     """All terms reachable by contracting a single redex, in redex order."""
-    return list(_table_reducts(t, {}))
+    return list(_table_reducts(t, {}, App))
 
 
 class ReductionStep:
@@ -288,7 +296,7 @@ def _leftmost_outermost(t: Term, fuel: int, record=None):
                     record(ReductionStep(focus, context, lefts))
                 if seen is None:
                     seen = {focus}
-                focus = rule(*[n.right for n in reversed(nodes[lefts:])])
+                focus = rule(App, *[n.right for n in reversed(nodes[lefts:])])
                 for j in range(lefts - 1, -1, -1):
                     focus = App(focus, nodes[j].right)
                 # Whole terms are equal iff their foci are: the position
@@ -331,23 +339,38 @@ def _leftmost_outermost(t: Term, fuel: int, record=None):
 # Bounded search over all redex choices
 
 
+_FRONTIER_ORDER = attrgetter("size", "_hash")  # the compiled kernel's order
+
+
 def _reduces_to_py(x: Term, y: Term, fuel: int, width: int) -> bool:
     if x == y:
         return True
     frontier = [x]
     visited = {x}
     table = {}  # frontier terms share most nodes; expand each node once
+    nodes = {}  # the ids of two children -> the one App built from them
+
+    def cons(left, right):
+        # an id fits in 64 bits, so one int names the pair; it holds
+        # less than a tuple of two
+        key = id(left) << 64 | id(right)
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = App(left, right)
+        return node
+
     for _ in range(fuel):
         nxt = set()
         for t in frontier:
-            for r in _table_reducts(t, table):
-                if r == y:
+            for r in _table_reducts(t, table, cons):
+                # the hash first: == is a Python call, and most reducts fail it
+                if r is y or r._hash == y._hash and r == y:
                     return True
                 if r not in visited:
                     nxt.add(r)
         if not nxt:
             return False
-        frontier = sorted(nxt, key=lambda r: (r.size, r._hash))[:width]
+        frontier = sorted(nxt, key=_FRONTIER_ORDER)[:width]
         visited.update(frontier)
     return False
 

@@ -35,3 +35,21 @@ def random_term(rng, leaves, alphabet="SK"):
     split = rng.randint(1, leaves - 1)
     return app(random_term(rng, split, alphabet),
                random_term(rng, leaves - split, alphabet))
+
+
+def exhaust_budget_on(monkeypatch, name):
+    """Make enumeration of the template of the term `name` run out of its
+    budget at once, wherever `engeler.templates.enumerate_template` is
+    looked up at call time."""
+    import engeler.templates
+    from engeler.terms import parse_term
+
+    exhausting = engeler.templates.template_of(parse_term(name))
+    enumerate_template = engeler.templates.enumerate_template
+
+    def budgeted(t, bounds, budget):
+        if t is exhausting:
+            raise engeler.templates.BudgetExceeded("faked", budget, budget, bounds)
+        return enumerate_template(t, bounds, budget=budget)
+
+    monkeypatch.setattr(engeler.templates, "enumerate_template", budgeted)

@@ -13,6 +13,8 @@ from engeler.companion import sweep_closure
 from engeler.model import EvalResult, enumerate_g, gelem_to_json, gset, nat
 from engeler.terms import parse_term, term_json
 
+from conftest import exhaust_budget_on
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -267,6 +269,22 @@ def test_closure_sweep_reports_unsupported_terms(capsys, monkeypatch):
     assert "unsupported=1" in out
 
 
+def test_closure_sweep_reports_coverage(capsys, monkeypatch):
+    # every term that checked nothing is listed with its reason, and the
+    # summary line gives the terms checked out of all terms
+    import engeler.terms
+
+    monkeypatch.setattr(engeler.terms, "enumerate_s_terms", lambda max_leaves: [
+        engeler.terms.parse_term(n) for n in ("S(SS)(SS)", "S(SS)", "S")])
+    exhaust_budget_on(monkeypatch, "S(SS)(SS)")
+    code, out, _ = run(capsys, "closure-sweep", "--max-leaves", "5", "--max-rank", "3",
+                       "--max-set-size", "1", "--max-nat", "1")
+    assert code == 0
+    assert "[?? ] S(SS)(SS)  budget exhausted at rank 3" in out
+    assert "[?? ] S(SS)  no base-rooted element up to rank 3" in out
+    assert "unsupported=0 coverage=1/3" in out
+
+
 @pytest.mark.parametrize(
     "extra, config, settings",
     [
@@ -284,7 +302,8 @@ def test_closure_sweep_defaults(capsys, monkeypatch, tmp_path, extra, config, se
     def fake_sweep(**kwargs):
         seen.update(kwargs)
         return [], {"terms": 0, "elements": 0, "closed": 0, "violated": 0,
-                    "no_case": 0, "rank_reached": {}, "unsupported": {}}
+                    "no_case": 0, "rank_reached": {}, "unsupported": {},
+                    "unchecked": {}}
 
     monkeypatch.setattr(cli, "sweep_closure", fake_sweep)
     if config:

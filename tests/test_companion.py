@@ -20,6 +20,8 @@ from engeler.model import enumerate_g, gelem_to_text, nat, parse_gelem
 from engeler.templates import member_via_template, template_of
 from engeler.terms import parse_term
 
+from conftest import exhaust_budget_on
+
 
 def _companions_stay_members(sigma, e):
     """Every companion candidate of e, a member of sigma's denotation, is a
@@ -184,4 +186,25 @@ def test_sweep_records_unsupported_terms(monkeypatch):
     assert list(summary["unsupported"]) == ["S(SS)SS"]
     assert summary["rank_reached"] == {"S(SS)SS": 0, "S": 3}
     assert records and summary["elements"] == len(records)
+    assert {r["sigma"] for r in records} == {"S"}
+
+
+def test_sweep_reports_every_unchecked_term(monkeypatch):
+    # S(SS)(SS) at (3,1,1) exhausts its budget at rank 3 (faked here, to
+    # be quick); S(SS) has no base-rooted element at rank 3; S(SS)SS is
+    # unsupported.  Each checks nothing, and each is named with its reason.
+    import engeler.terms
+
+    names = ["S(SS)(SS)", "S(SS)", "S(SS)SS", "S"]
+    monkeypatch.setattr(engeler.terms, "enumerate_s_terms",
+                        lambda max_leaves: [parse_term(n) for n in names])
+    exhaust_budget_on(monkeypatch, "S(SS)(SS)")
+    records, summary = sweep_closure(max_leaves=5, max_rank=3, set_width=1,
+                                     max_nat=0, budget=400_000)
+    assert summary["unchecked"] == {
+        "S(SS)(SS)": "budget exhausted at rank 3",
+        "S(SS)": "no base-rooted element up to rank 3",
+        "S(SS)SS": "unsupported: " + summary["unsupported"]["S(SS)SS"],
+    }
+    assert summary["rank_reached"] == {"S(SS)(SS)": 0, "S(SS)": 3, "S(SS)SS": 0, "S": 3}
     assert {r["sigma"] for r in records} == {"S"}

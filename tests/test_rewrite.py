@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from engeler import rewrite, terms
 from engeler.rewrite import (
     BACKEND,
     CYCLE_DETECTED,
@@ -27,6 +28,7 @@ from engeler.terms import (
     App,
     app,
     atom,
+    enumerate_s_terms,
     expand_stdlib,
     parse_term,
     print_term,
@@ -318,6 +320,8 @@ def _searches(draw):
 @example((parse_term("Kxy"), parse_term("x"), 1, 1))  # the reduct is a leaf
 @example((parse_term("K(Kxy)z"), parse_term("x"), 2, 1))
 @example((parse_term("S(Kx)(Kx)y"), parse_term("xx"), 3, 2))
+# equal subterms as distinct objects on both sides
+@example((parse_term("S(Kx)(Kx)(Iy)(Iy)"), parse_term("x(Kx(Iy))(Iy)"), 2, 3))
 def test_search_matches_reference(search):
     x, y, fuel, width = search
     assert _reduces_to_py(x, y, fuel, width) == _reference_reaches(x, y, fuel, width)
@@ -348,6 +352,51 @@ def test_deep_search_matches_reference():
     deep, nf = _deep_term()
     for a, b in [(deep, nf), (nf, deep), (deep, deep.right)]:
         assert _reduces_to_py(a, b, 5, 50) == _reference_reaches(a, b, 5, 50)
+
+
+def _s_probes(max_leaves=6):
+    x = var(0)
+    return [(app(sigma, x), x) for sigma in enumerate_s_terms(max_leaves)]
+
+
+# the two exploding probes of `python -m engeler.benchmark`
+_EXPLODING = [("S(SS)S(SSS)(SS)x", 16), ("S(SS)(SS)(S(SS))x", 13)]
+
+
+def test_search_walks_no_term_equality(monkeypatch):
+    # every node the search builds is hash-consed for the call, so equal
+    # reducts are one object and set lookups match on identity alone
+    walks, term_eq = [], terms._term_eq
+    monkeypatch.setattr(terms, "_term_eq", lambda a, b: walks.append(1) or term_eq(a, b))
+    for x, y in _s_probes():
+        _reduces_to_py(x, y, 20, 100)
+    assert walks == []
+
+
+def test_search_builds_equal_reducts_once(monkeypatch):
+    # Ix(Iy) reaches xy along two redex choices, through x(Iy) and (Ix)y
+    reducts = []
+    table_reducts = rewrite._table_reducts
+
+    def recording(t, table, app):
+        out = table_reducts(t, table, app)
+        reducts.extend(out)
+        return out
+
+    monkeypatch.setattr(rewrite, "_table_reducts", recording)
+    assert not _reduces_to_py(parse_term("Ix(Iy)"), parse_term("z"), 5, 10)
+    xy = parse_term("xy")
+    both = [r for r in reducts if r == xy]
+    assert len(both) == 2 and both[0] is both[1]
+
+
+def test_search_matches_reference_on_reach_probes():
+    for x, y in _s_probes():
+        assert _reduces_to_py(x, y, 20, 100) == _reference_reaches(x, y, 20, 100)
+    y = parse_term("x")
+    for text, fuel in _EXPLODING:
+        x = parse_term(text)
+        assert _reduces_to_py(x, y, fuel, 20_000) == _reference_reaches(x, y, fuel, 20_000)
 
 
 def test_backend_is_declared():
