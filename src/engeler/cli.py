@@ -28,11 +28,11 @@ from .model import (
     ElementSyntaxError,
     Extensional,
     GElem,
-    Nat,
     enumerate_g,
     eval_setexpr,
     extensional_bullet,
     gelem_from_json,
+    gelem_json,
     gelem_to_text,
     gset,
     gset_to_text,
@@ -156,35 +156,20 @@ class Emitter:
             print(f"# {text}", file=self.out)
 
 
-def _json_line(obj: dict) -> str:
-    """json.dumps(obj, sort_keys=True), except that a Term value is written
-    by term_json and a GElem value by _gelem_json, so that a term or an
-    element of any depth is written."""
-    return "{" + ", ".join(
-        f"{json.dumps(key)}: "
-        + (term_json(val) if isinstance(val, Term)
-           else _gelem_json(val) if isinstance(val, GElem)
-           else json.dumps(val, sort_keys=True))
-        for key, val in sorted(obj.items())) + "}"
-
-
-def _gelem_json(e: GElem) -> str:
-    """json.dumps(gelem_to_json(e), sort_keys=True), written with its own
-    stack, so that an element of any depth is written."""
-    out, work = [], [e]
-    while work:
-        node = work.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Nat):
-            out.append(f'{{"nat": {node.value}}}')
-        else:
-            out.append('{"arrow": {"elem": ')
-            work.append("]}}")
-            for i, m in enumerate(reversed(node.ante.elems)):
-                work += (", ", m) if i else (m,)
-            work += (', "set": [', node.cons)
-    return "".join(out)
+def _json_line(obj) -> str:
+    """json.dumps(obj, sort_keys=True), except that a Term is written by
+    term_json and a GElem by gelem_json, wherever it sits in obj's dicts
+    and lists, so that a term or an element of any depth is written."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_json_line(val)}"
+                               for key, val in sorted(obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json_line, obj)) + "]"
+    if isinstance(obj, Term):
+        return term_json(obj)
+    if isinstance(obj, GElem):
+        return gelem_json(obj)
+    return json.dumps(obj)
 
 
 @dataclass
@@ -303,11 +288,11 @@ def _read_set_file(path: str):
     return gset(elems)
 
 
-def _element_text(obj) -> str:
-    """Text form of a JSON element, or of a list of them."""
-    if isinstance(obj, list):
-        return " | ".join(_element_text(o) for o in obj)
-    return gelem_to_text(gelem_from_json(obj))
+def _element_text(val) -> str:
+    """Text form of an element, or of a list of them."""
+    if isinstance(val, list):
+        return " | ".join(map(gelem_to_text, val))
+    return gelem_to_text(val)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .model import Arrow, GElem, GSet, Nat, gset, nat
 from .terms import Term, atoms_used, is_closed
 from .templates import (
-    Template,
     instantiate,
     matches,
     member_via_template,
@@ -175,15 +174,16 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
     template enumeration of every S-only term up to the leaf budget.
 
     Enumeration depth adapts per term: the rank bound is raised from 3
-    up to max_rank while the step budget holds out, and the deepest
-    completed rank's elements are used.  A term whose enumeration meets
-    a retained constraint the matcher cannot decide (UnsupportedMatch)
-    is skipped: summary["unsupported"] maps it to the message, and its
-    rank reached is 0.  Returns (records, summary); summary counts
-    closed / violated / no-case findings and notes the rank reached per
-    term.  summary["unchecked"] maps every term with no element checked
-    to the reason: unsupported, the budget exhausted at a rank before
-    any completed, or no base-rooted element up to the rank reached.
+    (or from max_rank, if lower) up to max_rank while the step budget
+    holds out, and the deepest completed rank's elements are used.  A
+    term whose enumeration meets a retained constraint the matcher cannot
+    decide (UnsupportedMatch) is skipped: summary["unsupported"] maps it
+    to the message, and its rank reached is 0.  Returns (records,
+    summary); summary counts closed / violated / no-case findings and
+    notes the rank reached per term.  summary["unchecked"] maps every
+    term with no element checked to the reason: unsupported, the budget
+    exhausted at a rank before any completed, or no base-rooted element
+    up to the rank reached.
     """
     from .model import Bounds
     from .templates import BudgetExceeded, UnsupportedMatch, enumerate_template
@@ -199,7 +199,7 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
         t = template_of(sigma)
         elems, reached, exhausted = [], 0, None
         try:
-            for rank in range(3, max_rank + 1):
+            for rank in range(min(3, max_rank), max_rank + 1):
                 bounds = Bounds(max_rank=rank, max_set_size=set_width,
                                 max_nat=max_nat)
                 try:
@@ -235,14 +235,14 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
 
 
 def closure_report(sigma: Term, e: GElem, source: str = "") -> dict:
-    """One sweep record: companion candidates and their membership."""
-    from .model import gelem_to_json
+    """One sweep record: companion candidates and their membership.  The
+    element and its companions are kept as values; `cli` writes them."""
     from .terms import print_term
 
     mu = choose_mu(e)
     record = {
         "sigma": print_term(sigma),
-        "element": gelem_to_json(e),
+        "element": e,
         "mu": mu,
     }
     if source:
@@ -260,13 +260,13 @@ def closure_report(sigma: Term, e: GElem, source: str = "") -> dict:
     if len(cands) == 1:
         record.update(
             case=cands[0][0],
-            companion=gelem_to_json(cands[0][1]),
+            companion=cands[0][1],
             member=members[0],
         )
     else:
         record.update(
             case="/".join(cases),
-            companion=[gelem_to_json(c) for _, c in cands],
+            companion=[c for _, c in cands],
             member=all(members),
         )
     return record

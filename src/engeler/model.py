@@ -291,13 +291,44 @@ def count_g(max_rank: int, max_set_size: int, max_nat: int, limit=None) -> int:
 
 
 def gelem_to_text(e: GElem) -> str:
-    if isinstance(e, Nat):
-        return str(e.value)
-    return f"({gset_to_text(e.ante)} -> {gelem_to_text(e.cons)})"
+    """The text form that parse_gelem reads, written with its own stack,
+    so that an element of any depth is written."""
+    out, work = [], [e]
+    while work:
+        node = work.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Nat):
+            out.append(str(node.value))
+        else:
+            out.append("({")
+            work += (")", node.cons, "} -> ")
+            for i, m in enumerate(reversed(node.ante.elems)):
+                work += (",", m) if i else (m,)
+    return "".join(out)
 
 
 def gset_to_text(s: GSet) -> str:
     return "{" + ",".join(gelem_to_text(e) for e in s) + "}"
+
+
+def gelem_json(e: GElem) -> str:
+    """json.dumps(gelem_to_json(e), sort_keys=True), written with its own
+    stack, so that an element of any depth is written."""
+    out, work = [], [e]
+    while work:
+        node = work.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Nat):
+            out.append(f'{{"nat": {node.value}}}')
+        else:
+            out.append('{"arrow": {"elem": ')
+            work.append("]}}")
+            for i, m in enumerate(reversed(node.ante.elems)):
+                work += (", ", m) if i else (m,)
+            work += (', "set": [', node.cons)
+    return "".join(out)
 
 
 def gelem_to_json(e: GElem):

@@ -18,8 +18,8 @@ concrete binding in place, is the one place where a ground pattern
 becomes a value: a part is ground exactly when it is a GElem or a GSet.
 
 A match, an enumeration or a staged application makes one
-`_ConstraintCheck`.  It holds the call's one `Matcher`, the memo of the
-retained equations' verdicts and the table of family instances.
+`_ConstraintCheck` with its memo of verdicts, around the call's one
+`Matcher` with its table of family instances.
 
 FamilyPat(n, i, body) is the indexed collection over i = 1..n; with an
 element body it denotes the listing {body_i}, with a set body the union
@@ -811,23 +811,20 @@ def _consume_member(m, prefix, operand, b, defer, extra):
 
 
 def _operand_copy(operand, prefix, extra):
-    """A fresh copy of the operand template, its names renamed apart; its
-    root and constraints are indexed by the enclosing family binders so
-    each instance varies independently.  The copy's constraints go to
-    extra, each with its names: the operand's, renamed, and the arities
-    of the binders it gains.  Its root is returned."""
+    """A fresh copy of the operand, renamed apart, whose root and
+    constraints gain the enclosing family binders, outermost first, at the
+    end of every index, so each instance varies independently.  The copy's
+    constraints go to extra, each with its names: the operand's, renamed,
+    and the arities of the binders it gains.  Its root is returned."""
     t2, names = operand
     suffix, outer_first = f".{next(_fresh_counter)}", tuple(bn for bn, _ in prefix)
     arities = {bar.name for _, bar in prefix if isinstance(bar, AVar)}
-    # the root's indices gain the binders outermost first, the constraints'
-    # innermost first
-    inner_first = outer_first[::-1]
     for c, cnames in zip(t2.constraints, names):
         # the binder declarations must track the renamed references
         cb = tuple((bn + suffix, rename_vars(ar, suffix) if isinstance(ar, AVar) else ar)
                    for bn, ar in c.binders)
-        extra.append((Constraint(prefix + cb, rename_vars(c.left, suffix, inner_first),
-                                 rename_vars(c.right, suffix, inner_first)),
+        extra.append((Constraint(prefix + cb, rename_vars(c.left, suffix, outer_first),
+                                 rename_vars(c.right, suffix, outer_first)),
                       {n + suffix for n in cnames} | arities))
     return rename_vars(t2.root, suffix, outer_first)
 
@@ -945,10 +942,21 @@ class Matcher:
     by fewer than n distinct values when instances collapse.  A set-bodied
     family may realize g, {} included, with fewer than len(g) instances:
     such arities are tried only for the arity variables named in `exact`.
+
+    A call makes one matcher, and `instance` builds each family instance
+    once for the call's matcher, constraint check and enumerator alike.
     """
 
     def __init__(self, slack=0, exact=frozenset()):
         self.slack, self.exact = slack, exact
+        self.instances = {}  # (pattern, binder, index) -> its instance
+
+    def instance(self, p, binder, i):
+        """p's instance at index i of binder, as `reindex` builds it."""
+        q = self.instances.get((p, binder, i))
+        if q is None:
+            q = self.instances[p, binder, i] = reindex(p, binder, i)
+        return q
 
     # -- elements ----------------------------------------------------
     def match_elem(self, p, v, b):
@@ -1039,14 +1047,15 @@ class Matcher:
                     yield b0
                 continue
             if body_is_elem:  # indices 1..n mapped onto the elements
-                members = [reindex(p.body, p.binder, i) for i in range(1, n + 1)]
+                members = [self.instance(p.body, p.binder, i) for i in range(1, n + 1)]
                 yield from self._match_listing(members, g, b0)
             else:
                 yield from self._family_union(p, n, g, b0)
 
     def _family_union(self, p, n, g, b):
         # union over i of set-valued bodies equals g
-        inst = [_concretize(reindex(p.body, p.binder, i), b) for i in range(1, n + 1)]
+        inst = [_concretize(self.instance(p.body, p.binder, i), b, self.instance)
+                for i in range(1, n + 1)]
         members = frozenset(g)
         if all(isinstance(q, GSet) for q in inst):
             if members == frozenset().union(*inst):
@@ -1066,13 +1075,13 @@ class Matcher:
                 yield b
             return
         for sub in subsets:
-            for b1 in self.match_set(_concretize(inst[i], b), sub, b):
+            for b1 in self.match_set(_concretize(inst[i], b, self.instance), sub, b):
                 yield from self._union_of(inst, subsets, members, b1, i + 1, acc.union(sub))
 
     def _match_union(self, p, g, b):
         ground_parts, open_parts = [], []
         for q in p.parts:
-            q = _concretize(q, b)
+            q = _concretize(q, b, self.instance)
             if isinstance(q, GSet):
                 ground_parts.append(q)
             else:
@@ -1133,9 +1142,8 @@ class _ConstraintCheck:
     equations are still tried in order, so the first False (or raise) is
     the one an unmemoised check would give.  A memoised error is kept
     without its traceback, which would hold the check's frames, and each
-    raise of it raises a fresh copy.  The instances of families and
-    binders that the equations and the enumerator expand depend only on
-    the template, so they are built once each and kept in a table.  A
+    raise of it raises a fresh copy.  The instances of the families and
+    binders that the equations expand come from the matcher's table.  A
     check never sees a second template, and it is dropped with the call.
     """
 
@@ -1146,7 +1154,6 @@ class _ConstraintCheck:
         self.reads = [_reads(c) for c in constraints]
         self.memo = {}
         self.sides = {}  # (side, the values it reads) -> its concretized form
-        self.instances = {}  # (pattern, binder, index) -> its instance
 
     def __call__(self, b):
         for i in range(len(self.constraints)):
@@ -1161,14 +1168,6 @@ class _ConstraintCheck:
         """Does one of these equations fail under b?  One that raises is
         undecided here; the full check raises it in its turn."""
         return any(self._verdict(i, b) is False for i in indices)
-
-    def instance(self, p, binder, i):
-        """p's instance at index i of binder, as `reindex` builds it."""
-        key = (p, binder, i)
-        q = self.instances.get(key)
-        if q is None:
-            q = self.instances[key] = reindex(p, binder, i)
-        return q
 
     def _verdict(self, i, b):
         """True, False or the TemplateError that equation i raises."""
@@ -1198,7 +1197,7 @@ class _ConstraintCheck:
         its left and its right side read."""
         if c.binders:
             (binder, arity), rest = c.binders[0], c.binders[1:]
-            a, inst = resolve_arity(arity, b), self.instance
+            a, inst = resolve_arity(arity, b), self.matcher.instance
             return any(all(self._holds(Constraint(rest, inst(c.left, binder, i),
                                                   inst(c.right, binder, i)),
                                        b, left_reads, right_reads)
@@ -1222,7 +1221,7 @@ class _ConstraintCheck:
         key = (p, reads)
         q = self.sides.get(key)
         if q is None:
-            q = self.sides[key] = normalize(_concretize(p, b, self.instance))
+            q = self.sides[key] = normalize(_concretize(p, b, self.matcher.instance))
         return q
 
 
@@ -1244,13 +1243,13 @@ def _reads(c):
     return reads
 
 
-def _concretize(p, b, inst=reindex):
+def _concretize(p, b, inst):
     """Put the value that concrete binding b gives each variable in its
     place, expand each family whose arity b fixes, taking its instances
-    from inst (as `_ConstraintCheck.instance` gives them), and give each
-    part that is then ground as its value.  This is the one place where a
-    ground pattern becomes a value: a part is ground exactly when it comes
-    back as a `GElem` or a `GSet`."""
+    from inst (the call's `Matcher.instance`, or `reindex` outside a call),
+    and give each part that is then ground as its value.  This is the one
+    place where a ground pattern becomes a value: a part is ground exactly
+    when it comes back as a `GElem` or a `GSet`."""
     if isinstance(p, (EVar, SVar)):
         v = b.get(p.key)
         return p if v is None else v
@@ -1320,7 +1319,7 @@ def instantiate(t: Template, b) -> GElem:
     """Build the concrete element for a fully concrete binding."""
     if t.is_empty:
         raise TemplateError("cannot instantiate the empty template")
-    pat = _concretize(t.root, b)
+    pat = _concretize(t.root, b, reindex)
     if not isinstance(pat, GElem):
         missing = sorted(k for k in free_vars(pat))
         raise TemplateError(f"binding leaves variables open: {missing}")
@@ -1365,7 +1364,7 @@ class _Enumerator:
     """The (value, binding) pairs of element and set patterns within the
     bounds, antecedents first, by backtracking over one binding.
 
-    Family instances come from the table of the call's `check`.  Given a
+    Family instances come from the table of the call's `Matcher`.  Given a
     `plan` (see `_check_plan`), a branch is cut as soon as it refutes a
     retained constraint whose variables it has all bound.  A generator
     given `allowed`, a set of elements, yields only the pairs whose element
@@ -1534,7 +1533,7 @@ class _Enumerator:
         return sets
 
     def _gen_family(self, p, n, depth, b, allowed=None):
-        inst = self.check.instance
+        inst = self.check.matcher.instance
         insts = [inst(p.body, p.binder, i) for i in range(1, n + 1)]
         yield from self._gen_union(insts, depth, b, allowed)
 
@@ -1675,7 +1674,7 @@ def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
     The enumerator, the early checks and this last check share one
     `_ConstraintCheck`, so each constraint's verdict is memoised for the
     life of the call, keyed on the values the binding gives to its own
-    variables, and each family instance is built once.
+    variables, and its `Matcher` builds each family instance once.
     """
     if t.is_empty:
         return [], False
@@ -1719,7 +1718,7 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
     names = frozenset().union(*check.reads)
 
     # a state's pattern is concretized once, under the state's binding
-    states = [(_concretize(t.root, {}), {})]
+    states = [(_concretize(t.root, {}, check.matcher.instance), {})]
     for n_set in sets:
         nxt = []
         for pat, b in states:
@@ -1728,7 +1727,7 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
             if not isinstance(pat, (ArrowPat, Arrow)):
                 continue  # naturals never apply
             for b1 in _match_ante(check.matcher, pat.ante, n_set, b, cap):
-                nxt.append((_concretize(pat.cons, b1), b1))
+                nxt.append((_concretize(pat.cons, b1, check.matcher.instance), b1))
         seen = set()
         states = []
         for pat, b in nxt:

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from engeler import cli
-from engeler.companion import sweep_closure
-from engeler.model import EvalResult, enumerate_g, gelem_to_json, gset, nat
+from engeler.companion import closure_report, sweep_closure
+from engeler.model import EvalResult, enumerate_g, gelem_to_json, gset, nat, parse_gelem
 from engeler.terms import parse_term, term_json
 
 from conftest import exhaust_budget_on
@@ -420,6 +420,8 @@ def test_negative_config_value(capsys, tmp_path):
 
 # an element nested 400 deep, each level in an antecedent
 DEEP_ANTE = "({" * 400 + "0" + "} -> 0)" * 400
+# an element nested 600 deep, each level in a consequent
+DEEP_CONS = "({} -> " * 600 + "0" + ")" * 600
 # more digits than int() converts (its limit is 4,300)
 LONG_NUMBER = "1" * 5000
 
@@ -432,10 +434,39 @@ def test_member_of_a_deep_element(capsys, element, answer):
     assert run(capsys, "member", "K", element) == (0, answer + "\n", "")
 
 
+def _s_member(inner):
+    """A base-rooted member of S's denotation that holds `inner` twice."""
+    return (f"({{({{{inner}}} -> ({{}} -> ({{0}} -> 0)))}} -> "
+            f"({{}} -> ({{{inner}}} -> ({{0}} -> 0))))")
+
+
 def test_json_line_writes_elements_as_the_json_encoder_does():
     for e in enumerate_g(2, 2, 1):
         assert cli._json_line({"element": e}) == json.dumps({"element": gelem_to_json(e)},
                                                             sort_keys=True)
+
+
+def test_json_line_writes_nested_terms_and_elements_as_the_json_encoder_does():
+    # search-identity writes a closure record inside each case
+    e, t = parse_gelem("({0} -> 0)"), parse_term("SKx")
+    line = {"case": {"record": {"element": e, "companion": [e, nat(1)]}, "term": t,
+                     "ok": None, "ids": ("a", 2.5)}}
+    spelled = {"case": {"record": {"element": gelem_to_json(e),
+                                   "companion": [gelem_to_json(e), gelem_to_json(nat(1))]},
+                        "term": json.loads(term_json(t)), "ok": None, "ids": ["a", 2.5]}}
+    assert cli._json_line(line) == json.dumps(spelled, sort_keys=True)
+
+
+@pytest.mark.parametrize("inner", [DEEP_ANTE, DEEP_CONS], ids=["antecedents", "consequents"])
+def test_companion_writes_a_deep_element_as_text(capsys, inner):
+    element = _s_member(inner)
+    code, out, err = run(capsys, "companion", "S", element)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:4] == ["sigma: S", f"element: {element}", "mu: 1", "case: i"]
+    assert lines[5:] == ["member: True"]
+    rec = closure_report(parse_term("S"), parse_gelem(element))
+    assert parse_gelem(lines[4].removeprefix("companion: ")) == rec["companion"]
 
 
 def test_member_json_writes_a_deep_element(capsys):
@@ -502,6 +533,11 @@ def test_member_json_writes_a_deep_element(capsys):
         (("reduce", "SKKx", "--fuel", "٣"), 1,
          "engeler reduce: error: argument --fuel: expected a non-negative "
          "integer, got '٣'"),
+        # a companion record of any depth is written out under --json
+        (("companion", "S", _s_member(DEEP_ANTE), "--json"), 0,
+         '{"case": "i", "companion": {"arrow": '),
+        (("companion", "S", _s_member(DEEP_CONS), "--json"), 0,
+         '{"case": "i", "companion": {"arrow": '),
     ],
 )
 def test_exit_code_contract(capsys, argv, code, prefix):

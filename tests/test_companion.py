@@ -162,6 +162,14 @@ def test_small_sweep():
     assert {r["case"] for r in records} == {"ii"}
 
 
+def test_sweep_below_rank_3_enumerates_at_its_max_rank():
+    records, summary = sweep_closure(max_leaves=1, max_rank=2, set_width=1,
+                                     max_nat=1, budget=200_000)
+    assert records == []
+    assert summary["rank_reached"] == {"S": 2}
+    assert summary["unchecked"] == {"S": "no base-rooted element up to rank 2"}
+
+
 def test_sweep_counts_b0_based_elements_only():
     _, summary = sweep_closure(max_leaves=1, max_rank=3, set_width=1,
                                max_nat=1, budget=200_000)

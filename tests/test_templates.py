@@ -42,7 +42,9 @@ from engeler.templates import (
     _check_plan,
     _compose_shapes,
     _concretize,
+    _operand_copy,
     _quantify,
+    _reads,
     _shape,
     _shape_key,
     apply_template_chain,
@@ -157,8 +159,9 @@ def _shape_or_raise(compute):
 # sha256 of the lines "term<TAB>shape or exception name" over the corpus
 # below, as composed with every retained constraint substituted again;
 # keeping the constraints that a composition does not touch as they are
-# must change none of them
-COMPOSED_SHAPES_SHA256 = "01ecf983474a4179da3264483fcfc946f9cde139c777404ccd9fd4fdf9e0f638"
+# must change none of them.  An operand copy's constraints gain the
+# enclosing binders in the order its root does, outermost first.
+COMPOSED_SHAPES_SHA256 = "0f1d3366700470c7524253cc4057df6530edae23cf797cd9852b8faeb0d557dc"
 
 
 def test_memoised_composition_gives_the_shapes_of_cold_composition():
@@ -214,6 +217,20 @@ def test_composition_resolves_the_binder_arity_of_an_operand_copys_constraint():
                   (Constraint((("k", AVar("m")),), SVar("a", ("k",)), SVar("b")),))
     (c,) = compose(t1, t2).constraints
     assert [ar.minimum for _, ar in c.binders] == [1]
+
+
+def test_operand_copy_indexes_root_and_constraints_alike():
+    # under two binders, the copied constraint must read the instances of
+    # a that the copy's root holds: a[i,j], not a[j,i]
+    t2 = Template(ArrowPat(SVar("a"), EVar("w")),
+                  (Constraint((), SVar("a"), UnionPat((SVar("b"), SVar("c")))),))
+    prefix = (("i", AVar("n")), ("j", AVar("m")))
+    extra = []
+    root = _operand_copy((t2, [_reads(c).keys() for c in t2.constraints]), prefix, extra)
+    ((c, _),) = extra
+    assert c.binders == prefix
+    assert root.ante.index == c.left.index == ("i", "j")
+    assert root.ante.name == c.left.name
 
 
 def test_clearing_the_template_caches_empties_the_composition_memo():
@@ -453,7 +470,7 @@ def test_enumeration_members_satisfy_template():
 
 def _no_check():
     """A check with no constraints, for an enumerator of bare patterns: it
-    keeps only the table of family instances."""
+    keeps only its matcher's table of family instances."""
     return _ConstraintCheck((), 0)
 
 
@@ -744,7 +761,7 @@ def test_concretized_constraint_sides_have_the_spelled_out_values(text, bounds):
     for _, b in enum.gen_elem(t.root, bounds.max_rank, {}):
         for c in t.constraints:
             for side in (c.left, c.right):
-                v = normalize(_concretize(side, b))
+                v = normalize(_concretize(side, b, reindex))
                 v = v if isinstance(v, GSet) else None
                 assert v == _value_of(normalize(_spelled_out(side, b))), pretty(side)
                 ground += v is not None
@@ -755,8 +772,25 @@ def test_concretize_folds_a_family_whose_instances_coincide():
     # with its arity open but at least 1, the family is the one-member
     # listing {x}, and under {x: 0} that is the value {0}
     family = FamilyPat(AVar("n", minimum=1), "i", EVar("x"))
-    assert _concretize(family, {EVar("x").key: nat(0)}) == gset([nat(0)])
-    assert isinstance(_concretize(family, {}), ExplicitPat)
+    assert _concretize(family, {EVar("x").key: nat(0)}, reindex) == gset([nat(0)])
+    assert isinstance(_concretize(family, {}, reindex), ExplicitPat)
+
+
+def test_one_membership_call_builds_each_family_instance_once(monkeypatch):
+    # the matcher and the constraint check of a call take their family
+    # instances from the matcher's one table; this row's match reaches the
+    # same family on two bindings
+    t = template_of(parse_term("S(S(SS))K"))
+    e = parse_gelem("({({} -> ({} -> ({} -> 1)))} -> ({} -> 1))")
+    built = Counter()
+
+    def counting(p, old, new):
+        built[p, old, new] += 1  # a pattern hashes by its identity
+        return reindex(p, old, new)
+
+    monkeypatch.setattr(templates, "reindex", counting)
+    assert member_via_template(t, e)
+    assert built and max(built.values()) == 1
 
 
 def test_a_constraint_that_raises_refutes_nothing_early():
