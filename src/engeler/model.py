@@ -4,7 +4,10 @@ An element is a natural number or an arrow (alpha |-> b) whose antecedent
 alpha is a finite set of elements and whose consequent b is an element.
 Values are canonical and immutable: sets are sorted and duplicate-free under
 a fixed total order (naturals before arrows; naturals by value; arrows
-lexicographically by antecedent sequence, then consequent).
+lexicographically by antecedent sequence, then consequent).  Each value is
+built in one pass and carries its `rank`, its largest natural `max_nat` and
+the `width` of its widest antecedent set, so no caller walks it to learn
+them.  The empty set is one object, EMPTY_SET.
 
 Application of sets is the usual one for graph models:
 
@@ -26,9 +29,14 @@ from .terms import DIGITS, Term, _mix
 
 
 class GElem:
-    """A canonical universe element.  Use nat() / arrow() to build."""
+    """A canonical universe element.  Use nat() / arrow() to build.
 
-    __slots__ = ("_hash", "_key", "rank", "max_nat")
+    Besides its value, an element carries `rank` (0 for a natural, one
+    more than its deepest part for an arrow), `max_nat` (its largest
+    natural) and `width` (the size of its widest antecedent set, 0 if it
+    has none)."""
+
+    __slots__ = ("_hash", "_key", "rank", "max_nat", "width")
 
     def __hash__(self):
         return self._hash
@@ -41,6 +49,8 @@ class GElem:
         return self._hash == other._hash and self._key == other._key
 
     def __lt__(self, other):
+        if not isinstance(other, GElem):
+            return NotImplemented
         return self._key < other._key
 
     def __repr__(self):
@@ -55,6 +65,7 @@ class Nat(GElem):
         self.value = value
         self.rank = 0
         self.max_nat = value
+        self.width = 0
         self._key = (0, value)
         self._hash = _mix(11, value + 1, 0)
 
@@ -66,26 +77,45 @@ class Arrow(GElem):
     def __init__(self, ante: "GSet", cons: GElem):
         self.ante = ante
         self.cons = cons
-        self.rank = 1 + max(ante.rank, cons.rank)
-        self.max_nat = max(ante.max_nat, cons.max_nat)
+        a, c = ante.rank, cons.rank
+        self.rank = 1 + (a if a > c else c)
+        a, c = ante.max_nat, cons.max_nat
+        self.max_nat = a if a > c else c
+        w, a, c = len(ante.elems), ante.width, cons.width
+        if a > w:
+            w = a
+        self.width = c if c > w else w
         self._key = (1, ante._key, cons._key)
         self._hash = _mix(12, ante._hash, cons._hash)
 
 
 class GSet:
-    """Canonical finite set of elements (sorted, duplicate-free)."""
+    """Canonical finite set of elements (sorted, duplicate-free).  Build
+    one with gset(), which returns the one EMPTY_SET for every empty set.
 
-    __slots__ = ("elems", "_hash", "_key", "rank", "max_nat")
+    `rank`, `max_nat` and `width` are the largest over the members (0 for
+    the empty set); `width` does not count the set's own size."""
+
+    __slots__ = ("elems", "_hash", "_key", "rank", "max_nat", "width")
 
     def __init__(self, elems):
-        # `elems` must already be sorted and unique; use gset() otherwise.
+        # `elems` must be a tuple, already sorted and unique; use gset()
+        # otherwise.  One pass gathers the bounds and the hash.
         self.elems = elems
-        self.rank = max((e.rank for e in elems), default=0)
-        self.max_nat = max((e.max_nat for e in elems), default=0)
-        self._key = tuple(e._key for e in elems)
+        rank = max_nat = width = 0
         h = _mix(13, len(elems), 0)
         for e in elems:
+            if e.rank > rank:
+                rank = e.rank
+            if e.max_nat > max_nat:
+                max_nat = e.max_nat
+            if e.width > width:
+                width = e.width
             h = _mix(14, h, e._hash)
+        self.rank = rank
+        self.max_nat = max_nat
+        self.width = width
+        self._key = tuple([e._key for e in elems])
         self._hash = h
 
     def __hash__(self):
@@ -138,34 +168,25 @@ def nat(value: int) -> Nat:
     return e
 
 
+EMPTY_SET = GSet(())
+
+
 def gset(elems) -> GSet:
-    """Canonicalize an iterable of GElem into a GSet."""
-    uniq = {}
-    for e in elems:
-        uniq[e._key] = e
-    return GSet(tuple(v for _, v in sorted(uniq.items())))
-
-
-EMPTY_SET = gset(())
+    """Canonicalize an iterable of GElem into a GSet.  Every empty set is
+    the one EMPTY_SET; a single member needs no sorting."""
+    elems = tuple(elems)
+    if len(elems) > 1:
+        uniq = {}
+        for e in elems:
+            uniq[e._key] = e
+        return GSet(tuple(v for _, v in sorted(uniq.items())))
+    return GSet(elems) if elems else EMPTY_SET
 
 
 def arrow(ante, cons: GElem) -> Arrow:
     if not isinstance(ante, GSet):
         ante = gset(ante)
     return Arrow(ante, cons)
-
-
-def max_width(e: GElem) -> int:
-    """Size of the largest antecedent set anywhere inside e (0 if none).
-    The walk keeps its own stack, so any nesting depth is fine."""
-    width, stack = 0, [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Arrow):
-            width = max(width, len(x.ante))
-            stack.extend(x.ante)
-            stack.append(x.cons)
-    return width
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .model import Arrow, GElem, gset, max_width, member_k, member_s, universe
+from .model import Arrow, GElem, gset, member_k, member_s, universe
 from .terms import App, Atom, Term
 
 _K = "K"
@@ -159,7 +159,7 @@ class Oracle:
         subs = subelements(e)
         if not rich:
             return subs
-        width = max(self.bounds.max_set_size, max_width(e))
+        width = max(self.bounds.max_set_size, e.width)
         antes = [
             gset(c) for k in range(0, width + 1) for c in combinations(subs, k)
         ]

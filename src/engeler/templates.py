@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import (
-    EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, count_g, gset, max_width, universe,
+    EMPTY_SET, Arrow, Bounds, GElem, GSet, Nat, count_g, gset, universe,
 )
 from .terms import App, Atom, Term
 
@@ -1302,7 +1302,7 @@ def matches(t: Template, e: GElem):
     (retained constraints verified by the call's one `_ConstraintCheck`)."""
     if t.is_empty:
         return
-    check = _ConstraintCheck(t.constraints, max_width(e))
+    check = _ConstraintCheck(t.constraints, e.width)
     for b in check.matcher.match_elem(t.root, e, {}):
         if check(b):
             yield b
@@ -1424,7 +1424,7 @@ class _Enumerator:
                 yield v, b2
             return
         if isinstance(p, GElem):
-            if (allowed is None or p in allowed) and self._fits(p, max_width(p), depth):
+            if (allowed is None or p in allowed) and self._fits(p, p.width, depth):
                 yield p, b
             return
         if isinstance(p, ArrowPat):
@@ -1479,7 +1479,7 @@ class _Enumerator:
             return
         if isinstance(p, GSet):
             if ((allowed is None or allowed.issuperset(p))
-                    and self._fits(p, max((len(p), *map(max_width, p))), depth)):
+                    and self._fits(p, max(len(p), p.width), depth)):
                 yield p, b
             return
         if isinstance(p, ExplicitPat):
@@ -1711,7 +1711,7 @@ def apply_template_chain(t: Template, arg_sets, bounds: Bounds):
         return [], False
     sets = [s if isinstance(s, GSet) else gset(s) for s in arg_sets]
     slack = max(bounds.max_set_size, bounds.max_arity,
-                max((max_width(e) for s in sets for e in s), default=0))
+                max((s.width for s in sets), default=0))
     cap = max(bounds.max_set_size, bounds.max_arity)
     truncated = False
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity)

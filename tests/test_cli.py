@@ -478,67 +478,74 @@ def test_member_json_writes_a_deep_element(capsys):
     assert run(capsys, "member", "K", element, "--json") == (0, line + "\n", "")
 
 
+# Each row carries its own name, so a row inserted anywhere renames no
+# other test; the first thirty keep the names they had when ids came
+# from row positions.
+_EXIT_CODE_ROWS = [
+    # a library name without a K/S definition
+    ("argv0", ("template", "J"), 3, "template: no K/S definition available for J"),
+    ("argv1", ("member", "J", "0"), 3, "member: no K/S definition"),
+    ("argv2", ("enumerate", "J"), 3, "enumerate: no K/S definition"),
+    ("argv3", ("companion", "J", "({0} -> 0)"), 3, "companion: no K/S definition"),
+    ("argv4", ("parse", "J", "--expand"), 3, "parse: no K/S definition"),
+    # preconditions of the oracle and the companion construction
+    ("argv5", ("member", "--via", "oracle", "Sx", "({} -> ({} -> 0))"), 3,
+     "member: oracle handles closed applicative terms only"),
+    ("argv6", ("companion", "Sx", "({0} -> 0)"), 3, "companion: term must be closed"),
+    # a term of any depth parses and expands
+    ("argv7", ("parse", "S(" * 3000 + "S" + ")" * 3000, "--expand"), 0, "S(S(S(S("),
+    # flags and values the parser rejects
+    ("argv8", ("template", "SKK", "--no-expand"), 1,
+     "engeler: error: unrecognized arguments: --no-expand"),
+    ("argv9", ("closure-sweep", "--max-arity", "2"), 1,
+     "engeler: error: unrecognized arguments: --max-arity"),
+    ("argv10", ("enumerate", "SKK", "--max-set-size", "-1"), 1,
+     "engeler enumerate: error: argument --max-set-size: expected a "
+     "non-negative integer, got '-1'"),
+    ("argv11", ("search-identity", "--max-s", "-1"), 1,
+     "engeler search-identity: error: argument --max-s"),
+    ("argv12", ("search-identity", "--max-s", "9"), 1,
+     "search-identity: max_s=9 exceeds the cap 8"),
+    ("argv13", ("verify-paper", "--case", "nope"), 1, "verify-paper: unknown case 'nope'"),
+    ("argv14", ("apply", "no-such-set-file.txt", "no-such-set-file.txt"), 1,
+     "engeler: [Errno 2] No such file or directory"),
+    ("argv15", ("enumerate", "S", "--budget", "100"), 2,
+     "enumerate: template enumeration exceeded 100 steps"),
+    # a pool larger than the budget is found before it is built
+    ("argv16", ("enumerate", "S", "--max-rank", "5", "--budget", "1000"), 2,
+     "enumerate: template enumeration exceeded 1000 steps: the rank-3 pool"),
+    ("argv17", ("enumerate", "SKK", "--max-rank", "4", "--budget", "1000"), 2,
+     "enumerate: template enumeration exceeded 1000 steps: the rank-3 pool"),
+    ("argv18", ("enumerate", "K", "--max-nat", "100000", "--budget", "1000"), 2,
+     "enumerate: template enumeration exceeded 1000 steps: the rank-2 pool"),
+    # an element of any depth is written out under --json
+    ("argv19", ("member", "K", DEEP_ANTE, "--json"), 0, '{"element": {"arrow": '),
+    # only 0-9 are digits, and a number longer than int() converts is a
+    # syntax error
+    ("argv20", ("member", "K", "²"), 1, "engeler: '²' is neither element text nor JSON"),
+    ("argv21", ("member", "K", "({²}->0)"), 1, "engeler: expected '(' at 2"),
+    ("argv22", ("parse", "x²"), 1, "engeler: unexpected character '²' (byte 1)"),
+    ("argv23", ("parse", "x٣"), 1, "engeler: unexpected character '٣' (byte 1)"),
+    ("argv24", ("member", "K", LONG_NUMBER), 1, "engeler: number too long at 0"),
+    ("argv25", ("member", "K", f'{{"nat": {LONG_NUMBER}}}'), 1,
+     "engeler: JSON number too long"),
+    ("argv26", ("parse", "x" + LONG_NUMBER), 1,
+     "engeler: variable index too long (byte 0)"),
+    ("argv27", ("reduce", "SKKx", "--fuel", "٣"), 1,
+     "engeler reduce: error: argument --fuel: expected a non-negative "
+     "integer, got '٣'"),
+    # a companion record of any depth is written out under --json
+    ("argv28", ("companion", "S", _s_member(DEEP_ANTE), "--json"), 0,
+     '{"case": "i", "companion": {"arrow": '),
+    ("argv29", ("companion", "S", _s_member(DEEP_CONS), "--json"), 0,
+     '{"case": "i", "companion": {"arrow": '),
+]
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
-    [
-        # a library name without a K/S definition
-        (("template", "J"), 3, "template: no K/S definition available for J"),
-        (("member", "J", "0"), 3, "member: no K/S definition"),
-        (("enumerate", "J"), 3, "enumerate: no K/S definition"),
-        (("companion", "J", "({0} -> 0)"), 3, "companion: no K/S definition"),
-        (("parse", "J", "--expand"), 3, "parse: no K/S definition"),
-        # preconditions of the oracle and the companion construction
-        (("member", "--via", "oracle", "Sx", "({} -> ({} -> 0))"), 3,
-         "member: oracle handles closed applicative terms only"),
-        (("companion", "Sx", "({0} -> 0)"), 3, "companion: term must be closed"),
-        # a term of any depth parses and expands
-        (("parse", "S(" * 3000 + "S" + ")" * 3000, "--expand"), 0, "S(S(S(S("),
-        # flags and values the parser rejects
-        (("template", "SKK", "--no-expand"), 1,
-         "engeler: error: unrecognized arguments: --no-expand"),
-        (("closure-sweep", "--max-arity", "2"), 1,
-         "engeler: error: unrecognized arguments: --max-arity"),
-        (("enumerate", "SKK", "--max-set-size", "-1"), 1,
-         "engeler enumerate: error: argument --max-set-size: expected a "
-         "non-negative integer, got '-1'"),
-        (("search-identity", "--max-s", "-1"), 1,
-         "engeler search-identity: error: argument --max-s"),
-        (("search-identity", "--max-s", "9"), 1,
-         "search-identity: max_s=9 exceeds the cap 8"),
-        (("verify-paper", "--case", "nope"), 1, "verify-paper: unknown case 'nope'"),
-        (("apply", "no-such-set-file.txt", "no-such-set-file.txt"), 1,
-         "engeler: [Errno 2] No such file or directory"),
-        (("enumerate", "S", "--budget", "100"), 2,
-         "enumerate: template enumeration exceeded 100 steps"),
-        # a pool larger than the budget is found before it is built
-        (("enumerate", "S", "--max-rank", "5", "--budget", "1000"), 2,
-         "enumerate: template enumeration exceeded 1000 steps: the rank-3 pool"),
-        (("enumerate", "SKK", "--max-rank", "4", "--budget", "1000"), 2,
-         "enumerate: template enumeration exceeded 1000 steps: the rank-3 pool"),
-        (("enumerate", "K", "--max-nat", "100000", "--budget", "1000"), 2,
-         "enumerate: template enumeration exceeded 1000 steps: the rank-2 pool"),
-        # an element of any depth is written out under --json
-        (("member", "K", DEEP_ANTE, "--json"), 0, '{"element": {"arrow": '),
-        # only 0-9 are digits, and a number longer than int() converts is a
-        # syntax error
-        (("member", "K", "²"), 1, "engeler: '²' is neither element text nor JSON"),
-        (("member", "K", "({²}->0)"), 1, "engeler: expected '(' at 2"),
-        (("parse", "x²"), 1, "engeler: unexpected character '²' (byte 1)"),
-        (("parse", "x٣"), 1, "engeler: unexpected character '٣' (byte 1)"),
-        (("member", "K", LONG_NUMBER), 1, "engeler: number too long at 0"),
-        (("member", "K", f'{{"nat": {LONG_NUMBER}}}'), 1,
-         "engeler: JSON number too long"),
-        (("parse", "x" + LONG_NUMBER), 1,
-         "engeler: variable index too long (byte 0)"),
-        (("reduce", "SKKx", "--fuel", "٣"), 1,
-         "engeler reduce: error: argument --fuel: expected a non-negative "
-         "integer, got '٣'"),
-        # a companion record of any depth is written out under --json
-        (("companion", "S", _s_member(DEEP_ANTE), "--json"), 0,
-         '{"case": "i", "companion": {"arrow": '),
-        (("companion", "S", _s_member(DEEP_CONS), "--json"), 0,
-         '{"case": "i", "companion": {"arrow": '),
-    ],
+    [row[1:] for row in _EXIT_CODE_ROWS],
+    ids=[f"{name}-{code}-{prefix}" for name, _, code, prefix in _EXIT_CODE_ROWS],
 )
 def test_exit_code_contract(capsys, argv, code, prefix):
     got, out, err = run(capsys, *argv)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engeler.model import (
+    EMPTY_SET,
     ApplyExpr,
     Arrow,
     Bounds,
@@ -15,6 +16,7 @@ from engeler.model import (
     ElementSyntaxError,
     EvalResult,
     Extensional,
+    GSet,
     Nat,
     arrow,
     count_g,
@@ -25,13 +27,13 @@ from engeler.model import (
     gelem_to_json,
     gelem_to_text,
     gset,
-    max_width,
     member_k,
     member_s,
     nat,
     parse_gelem,
+    universe,
 )
-from engeler.terms import parse_term
+from engeler.terms import _mix, parse_term
 
 B0 = parse_gelem("({0} -> 0)")
 
@@ -224,26 +226,115 @@ def test_count_with_a_limit_stops_early():
     assert count_g(2, 10**6, 10**5, limit=1000) == 1001
 
 
-def test_max_width_of_a_deep_element():
+def _widest_antecedent(e):
+    """Size of the largest antecedent set anywhere inside e (0 if none),
+    by a walk with its own stack: the reference for `.width`."""
+    width, stack = 0, [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Arrow):
+            width = max(width, len(x.ante))
+            stack.extend(x.ante)
+            stack.append(x.cons)
+    return width
+
+
+def _reference_hash(root):
+    """The hash of an element or set as a fold of `_mix` over its parts,
+    computed bottom-up with its own stack."""
+    done, stack = {}, [root]
+    while stack:
+        x = stack[-1]
+        if id(x) in done:
+            stack.pop()
+            continue
+        if isinstance(x, Nat):
+            done[id(x)] = _mix(11, x.value + 1, 0)
+            continue
+        parts = x.elems if isinstance(x, GSet) else (x.ante, x.cons)
+        todo = [p for p in parts if id(p) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        if isinstance(x, GSet):
+            h = _mix(13, len(parts), 0)
+            for p in parts:
+                h = _mix(14, h, done[id(p)])
+        else:
+            h = _mix(12, done[id(x.ante)], done[id(x.cons)])
+        done[id(x)] = h
+    return done[id(root)]
+
+
+def _deep_element(depth):
     e = nat(0)
-    for i in range(5000):
+    for i in range(depth):
         e = arrow([e] if i % 2 else [e, nat(1)], nat(0))
-    assert max_width(e) == 2
-    assert max_width(nat(3)) == 0
+    return e
 
 
-def _set_width(e):
-    if isinstance(e, Arrow):
-        inner = max((_set_width(m) for m in e.ante), default=0)
-        return max(len(e.ante), inner, _set_width(e.cons))
-    return 0
+def test_max_width_of_a_deep_element():
+    e = _deep_element(5000)
+    assert e.width == _widest_antecedent(e) == 2
+    assert nat(3).width == 0
+
+
+def test_width_matches_the_walk():
+    for e in universe(2, 2, 1):
+        assert e.width == _widest_antecedent(e)
+        if isinstance(e, Arrow):
+            assert e.ante.width == max((_widest_antecedent(m) for m in e.ante), default=0)
+    assert EMPTY_SET.width == 0
+
+
+def test_hash_is_the_fold_of_mix():
+    deep = _deep_element(5000)
+    for e in (*universe(2, 2, 1), deep):
+        assert e._hash == _reference_hash(e)
+        if isinstance(e, Arrow):
+            assert e.ante._hash == _reference_hash(e.ante)
+
+
+def test_empty_sets_are_one_object():
+    assert gset(()) is EMPTY_SET
+    assert gset([]) is EMPTY_SET
+    assert gset(x for x in ()) is EMPTY_SET
+    assert arrow([], nat(0)).ante is EMPTY_SET
+    assert parse_gelem("({} -> 0)").ante is EMPTY_SET
+
+
+_POOL = universe(2, 1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_POOL), max_size=6), st.booleans())
+def test_gset_matches_dedupe_and_sort(members, lazily):
+    reference = sorted({e._key: e for e in members}.values(), key=lambda e: e._key)
+    got = gset(iter(members) if lazily else members + members[:2])
+    assert len(got.elems) == len(reference)
+    assert all(a is b for a, b in zip(got.elems, reference))
+    assert got == GSet(tuple(reference))
+    assert got._hash == _reference_hash(got)
+    assert (got.rank, got.max_nat, got.width) == (
+        max((e.rank for e in reference), default=0),
+        max((e.max_nat for e in reference), default=0),
+        max((_widest_antecedent(e) for e in reference), default=0),
+    )
+
+
+def test_ordering_against_a_non_element_raises_type_error():
+    with pytest.raises(TypeError):
+        nat(0) < 1
+    with pytest.raises(TypeError):
+        B0 < "0"
+    assert nat(0) < B0
 
 
 def test_enumeration_respects_bounds():
     for e in enumerate_g(2, 2, 1):
         assert e.rank <= 2
         assert e.max_nat <= 1
-        assert _set_width(e) <= 2
+        assert _widest_antecedent(e) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from engeler import templates
 from engeler.companion import b0_base, closure_report
 from engeler.oracle import member_oracle
 from engeler.model import (
-    Arrow, Bounds, GElem, GSet, count_g, enumerate_g, gset, max_width, nat, parse_gelem,
+    Arrow, Bounds, GElem, GSet, count_g, enumerate_g, gset, nat, parse_gelem,
     universe,
 )
 from engeler.templates import (
@@ -457,7 +457,7 @@ def test_set_size_bound_cuts_singletons(text):
     # K's antecedent {t} has one member, more than a set size of 0 allows
     assert enumerate_template(template_of(parse_term(text)), Bounds(2, 0, 1)) == ([], True)
     elems, _ = enumerate_template(template_of(parse_term(text)), Bounds(2, 1, 1))
-    assert elems and all(max_width(e) <= 1 for e in elems)
+    assert elems and all(e.width <= 1 for e in elems)
 
 
 def test_enumeration_members_satisfy_template():
