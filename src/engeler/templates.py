@@ -4,7 +4,10 @@ A template is a pattern standing for the family of graph-model elements
 in a term's denotation: a root element pattern plus retained set-equation
 constraints that could not be resolved during composition.  Application
 of terms becomes composition of templates; membership and (bounded)
-enumeration are decided by structural matching against the pattern.
+enumeration are decided by structural matching against the pattern.  The
+matcher decides every union of set parts by one cover search, which tries
+each split of the target set among the open parts, up to one bound on the
+number of splits (`_MAX_SPLITS`).
 
 Pattern inventory
 -----------------
@@ -928,10 +931,12 @@ def template_of(term: Term) -> Template:
 # matching against concrete elements
 
 
-# a union with one open part tries every subset of the covered elements as
-# its overlap with the ground parts; with more covered elements than this
-# it raises UnsupportedMatch, so its False never rests on a guess
-_MAX_UNION_GROUND = 6
+# the most splits of a target set g among a union's open parts that
+# `Matcher._match_union` may try, counted before it tries any: a family of
+# four open instances over four elements, each taking one of g's 16 subsets.
+# Beyond it the matcher raises UnsupportedMatch, so its False never rests
+# on a guess.
+_MAX_SPLITS = 16 ** 4
 
 
 class Matcher:
@@ -942,6 +947,11 @@ class Matcher:
     by fewer than n distinct values when instances collapse.  A set-bodied
     family may realize g, {} included, with fewer than len(g) instances:
     such arities are tried only for the arity variables named in `exact`.
+
+    Every union it meets, a set-bodied family at a fixed arity included (the
+    union of its instances), is decided by one cover search,
+    `_match_union`, which tries every split of g among the open parts; a
+    union with more than `_MAX_SPLITS` splits raises UnsupportedMatch.
 
     A call makes one matcher, and `instance` builds each family instance
     once for the call's matcher, constraint check and enumerator alike.
@@ -1002,7 +1012,7 @@ class Matcher:
             yield from self._match_family(p, g, b)
             return
         if isinstance(p, UnionPat):
-            yield from self._match_union(p, g, b)
+            yield from self._match_union(p.parts, g, b)
             return
         raise UnsupportedMatch(f"set pattern {type(p).__name__}")
 
@@ -1046,77 +1056,51 @@ class Matcher:
                 if len(g) == 0:
                     yield b0
                 continue
-            if body_is_elem:  # indices 1..n mapped onto the elements
-                members = [self.instance(p.body, p.binder, i) for i in range(1, n + 1)]
+            # indices 1..n mapped onto the elements, or instances joined to g
+            members = [self.instance(p.body, p.binder, i) for i in range(1, n + 1)]
+            if body_is_elem:
                 yield from self._match_listing(members, g, b0)
             else:
-                yield from self._family_union(p, n, g, b0)
+                yield from self._match_union(members, g, b0)
 
-    def _family_union(self, p, n, g, b):
-        # union over i of set-valued bodies equals g
-        inst = [_concretize(self.instance(p.body, p.binder, i), b, self.instance)
-                for i in range(1, n + 1)]
-        members = frozenset(g)
-        if all(isinstance(q, GSet) for q in inst):
-            if members == frozenset().union(*inst):
+    def _match_union(self, parts, g, b):
+        """Bindings under which the set parts join to exactly g, with the
+        parts concretized once, under b.  Every ground part must lie in g.
+        Each open part but the last takes a subset of g, in `_subsets`
+        order; the last takes the elements still uncovered together with
+        each subset of the covered ones."""
+        covered, open_parts = set(), []
+        for q in parts:
+            q = _concretize(q, b, self.instance)
+            if not isinstance(q, GSet):
+                open_parts.append(q)
+            elif q.issubset(g):
+                covered.update(q)
+            else:
+                return
+        k = len(open_parts)
+        if not k:
+            if len(covered) == len(g):
                 yield b
             return
-        if len(g) > 4 or n > 4:
-            raise UnsupportedMatch("union family too wide to search")
-        subsets = [gset(sub) for sub in _subsets(list(g))]
-        yield from self._union_of(inst, subsets, members, b)
+        # each open part but the last has 2^len(g) choices, and the last at
+        # most one per subset of what the others may have covered
+        if 2 ** (len(g) * k if k > 1 else len(covered)) > _MAX_SPLITS:
+            raise UnsupportedMatch(
+                f"union of {k} open parts over {len(g)} elements has too many splits")
+        subsets = [gset(sub) for sub in _subsets(list(g))] if k > 1 else ()
+        yield from self._cover(open_parts, g, subsets, covered, b)
 
-    def _union_of(self, inst, subsets, members, b, i=0, acc=frozenset()):
-        """Bindings under which inst[i:], each taking one of subsets,
-        join acc to exactly members.  A ground instance takes the subset
-        that equals it, if there is one."""
-        if i == len(inst):
-            if acc == members:
-                yield b
+    def _cover(self, parts, g, subsets, covered, b, i=0):
+        """Bindings under which parts[i:] join the covered elements to g."""
+        if i == len(parts) - 1:
+            leftover = [e for e in g if e not in covered]
+            for sub in _subsets([e for e in g if e in covered]):
+                yield from self.match_set(parts[i], gset(leftover + list(sub)), b)
             return
         for sub in subsets:
-            for b1 in self.match_set(_concretize(inst[i], b, self.instance), sub, b):
-                yield from self._union_of(inst, subsets, members, b1, i + 1, acc.union(sub))
-
-    def _match_union(self, p, g, b):
-        ground_parts, open_parts = [], []
-        for q in p.parts:
-            q = _concretize(q, b, self.instance)
-            if isinstance(q, GSet):
-                ground_parts.append(q)
-            else:
-                open_parts.append(q)
-        covered = []
-        for gs in ground_parts:
-            if not gs.issubset(g):
-                return
-            covered.extend(gs)
-        covered = gset(covered)
-        leftover = [e for e in g if e not in covered]
-        if not open_parts:
-            if not leftover:
-                yield b
-            return
-        if len(open_parts) == 1:
-            # the open part holds the leftover and any covered elements;
-            # the two are disjoint, so each choice is a distinct set
-            if len(covered) > _MAX_UNION_GROUND:
-                raise UnsupportedMatch("open union part overlaps too many ground elements")
-            for sub in _subsets(list(covered)):
-                yield from self.match_set(open_parts[0], gset(leftover + list(sub)), b)
-            return
-        if len(open_parts) == 2 and len(leftover) <= 4 and len(g) <= 4:
-            # split the leftover between the two open parts, allowing overlap
-            # with already-covered elements
-            pool = list(g)
-            for sub1 in _subsets(pool):
-                rest = [e for e in leftover if e not in gset(sub1)]
-                for extra in _subsets([e for e in pool if e not in gset(rest)]):
-                    val2 = gset(rest + list(extra))
-                    for b1 in self.match_set(open_parts[0], gset(sub1), b):
-                        yield from self.match_set(open_parts[1], val2, b1)
-            return
-        raise UnsupportedMatch("too many open union parts")
+            for b1 in self.match_set(parts[i], sub, b):
+                yield from self._cover(parts, g, subsets, covered.union(sub), b1, i + 1)
 
 
 def _subsets(xs):
@@ -1667,8 +1651,9 @@ def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
       the other is matched against it with its unbound variables free, at
       every arity the enumerator could give them (the matcher's slack is at
       least max_arity, and the root's arity variables are `exact` to it),
-      so a False says that no completion of the branch passes; a match that
-      would guess raises, and a constraint that raises there cuts nothing.
+      so a False says that no completion of the branch passes; a match with
+      too many splits to try raises, and a constraint that raises there
+      cuts nothing.
     Every binding that survives is then checked against all retained
     constraints in order, so the first that fails or raises decides.
     The enumerator, the early checks and this last check share one

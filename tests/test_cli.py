@@ -34,6 +34,9 @@ def test_parse(capsys):
     code, out, _ = run(capsys, "parse", "SKKx")
     assert code == 0
     assert out == "SKKx0\n"
+    code, out, _ = run(capsys, "parse", "SKKx", "--stats")
+    assert code == 0
+    assert out == "SKKx0\n# k_count=2 s_count=1 size=4 var_count=1\n"
 
 
 def test_parse_json(capsys):
@@ -43,6 +46,9 @@ def test_parse_json(capsys):
     assert obj["term"] == "SKKx0"
     assert obj["json"]["app"][1] == {"var": 0}
     assert out == json.dumps(obj, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "parse", "SKKx", "--stats", "--json")
+    assert code == 0
+    assert json.loads(out)["stats"] == {"k_count": 2, "s_count": 1, "size": 4, "var_count": 1}
 
 
 @pytest.mark.parametrize("argv, key, want", [
@@ -196,6 +202,10 @@ def test_apply(capsys, tmp_path):
     got = [ln for ln in out.strip().splitlines() if not ln.startswith("#")]
     assert got == ["0"]
     assert "count=1" in out and "truncated=False" in out
+    code, out, _ = run(capsys, "apply", str(f1), str(f2), "--json")
+    assert code == 0
+    assert [json.loads(ln) for ln in out.splitlines()] == [
+        {"element": {"nat": 0}}, {"count": 1, "truncated": False}]
 
 
 def test_apply_needs_two_sets(capsys, tmp_path):
