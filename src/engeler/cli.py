@@ -54,6 +54,7 @@ from .templates import (
     enumerate_template,
     has_singleton_setvar,
     member_via_template,
+    settled_by_ranks,
     template_of,
     template_to_json,
     template_to_text,
@@ -366,6 +367,9 @@ def cmd_enumerate(args, em, cfg):
     elems, _ = enumerate_template(tpl, bounds, budget=cfg["budget"])
     for e in elems:
         em.emit(gelem_to_text(e), {"element": e, "text": gelem_to_text(e)})
+    settled = settled_by_ranks(tpl, bounds.max_rank)
+    if settled:
+        em.note(f"ranks settle it: {settled}")
     em.note(f"count={len(elems)} within rank<={bounds.max_rank} "
             f"set<={bounds.max_set_size} nat<={bounds.max_nat}")
     if em.as_json:

@@ -183,10 +183,13 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
     notes the rank reached per term.  summary["unchecked"] maps every
     term with no element checked to the reason: unsupported, the budget
     exhausted at a rank before any completed, or no base-rooted element
-    up to the rank reached.
+    up to the rank reached, or the retained equation whose ranks rule out
+    every element up to it (`settled_by_ranks`).
     """
     from .model import Bounds
-    from .templates import BudgetExceeded, UnsupportedMatch, enumerate_template
+    from .templates import (
+        BudgetExceeded, UnsupportedMatch, enumerate_template, settled_by_ranks,
+    )
     from .terms import enumerate_s_terms, print_term
 
     records = []
@@ -218,7 +221,8 @@ def sweep_closure(max_leaves: int = 4, max_rank: int = 3,
         if not based:
             summary["unchecked"][name] = (
                 f"budget exhausted at rank {exhausted}" if exhausted and not reached else
-                f"no base-rooted element up to rank {reached}")
+                settled_by_ranks(t, reached)
+                or f"no base-rooted element up to rank {reached}")
         for e in based:
             summary["elements"] += 1
             rec = closure_report(sigma, e)

@@ -38,6 +38,7 @@ silent wrong answer).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -1566,12 +1567,14 @@ def _union_value(acc, big):
 
 @lru_cache(maxsize=None)
 def _check_plan(t: Template):
-    """Where enumeration checks each of t's retained constraints early.
+    """Where enumeration checks each of t's retained constraints early, and
+    the least rank bound at which it can list anything.
 
-    Returns a map from arrow patterns of t's root to the indices of the
-    constraints checked as soon as the arrow's antecedent, and as soon as
-    its consequent, is bound, and the names of the root's arity variables
-    (see `enumerate_template`).  A constraint is checked at the arrow side
+    Returns (plan, arities, least, settler).  plan maps arrow patterns of
+    t's root to the indices of the constraints checked as soon as the
+    arrow's antecedent, and as soon as its consequent, is bound; arities
+    holds the names of the root's arity variables (see
+    `enumerate_template`).  A constraint is checked at the arrow side
     that binds the last root node mentioning one of its variables: the
     innermost such side outside every family, whose instances are bound
     one at a time.  From there on the binding gives the constraint's
@@ -1584,43 +1587,144 @@ def _check_plan(t: Template):
     so a False says that no completion of the branch passes.
     A side on the root's consequent spine ends where the root does, and
     the root check follows it at once, so it gets no check of its own.
+
+    least is the smallest rank bound at which every retained equation
+    without binders can hold by ranks (`_least_rank`), and settler the
+    index of the first equation that needs it (None when least is 0).
+    The same walk of the root maps the name of each of its element and set
+    variables to the keys its nodes read (`_keys_read`) and the most
+    arrows above any of them.
     """
     root = t.root
     if not t.constraints or not isinstance(root, ArrowPat):
-        return {}, frozenset()
+        return {}, frozenset(), 0, None
     # each variable node in walk order, with the side that binds it
-    found = []
-    stack = [(root, None, False)]
+    found, rooted = [], {}
+    stack = [(root, None, False, 0, ())]
     while stack:
-        p, side, in_family = stack.pop()
+        p, side, in_family, depth, fams = stack.pop()
         if isinstance(p, _Var):
             found.append((p, side))
-        elif isinstance(p, ArrowPat) and not in_family:
-            stack.append((p.cons, (p, 1), False))
-            stack.append((p.ante, (p, 0), False))
+            if not isinstance(p, AVar):  # keys None once two nodes differ
+                keys = _keys_read(p, fams)
+                seen, deepest = rooted.get(p.name, (keys, depth))
+                rooted[p.name] = (keys if seen == keys else None, max(deepest, depth))
+        elif isinstance(p, ArrowPat):
+            stack.append((p.cons, side if in_family else (p, 1), in_family, depth + 1, fams))
+            stack.append((p.ante, side if in_family else (p, 0), in_family, depth + 1, fams))
         elif isinstance(p, FamilyPat):
-            stack.append((p.body, side, True))
+            stack.append((p.body, side, True, depth, fams + (p,)))
             if isinstance(p.arity, AVar):
-                stack.append((p.arity, side, in_family))
+                stack.append((p.arity, side, in_family, depth, fams))
         else:
-            stack.extend((q, side, in_family) for q in reversed(_parts(p)))
+            stack.extend((q, side, in_family, depth, fams) for q in reversed(_parts(p)))
     spine = set()
     p = root
     while isinstance(p, ArrowPat):
         spine.add((p, 1))
         p = p.cons
-    rooted = {q.name for q, _ in found}
-    plan = {}
+    names = {q.name for q, _ in found}
+    plan, least, settler = {}, 0, None
     for i, c in enumerate(t.constraints):
         reads, points = _reads(c), set()
         for sides in (_LEFT | _RIGHT, _LEFT, _RIGHT):  # both bound, then each alone
             own = {name for name, s in reads.items() if s & sides}
-            if sides == _LEFT | _RIGHT or own <= rooted:
+            if sides == _LEFT | _RIGHT or own <= names:
                 points.add(next((s for q, s in reversed(found) if q.name in own), (root, 0)))
         for p, k in points - spine:
             plan.setdefault(p, ([], []))[k].append(i)
+        if not c.binders:
+            need = _least_rank(c, rooted)
+            if need > least:
+                least, settler = need, i
     return ({p: (tuple(ante), tuple(cons)) for p, (ante, cons) in plan.items()},
-            frozenset(q.name for q, _ in found if isinstance(q, AVar)))
+            frozenset(q.name for q, _ in found if isinstance(q, AVar)), least, settler)
+
+
+def _keys_read(v, fams):
+    """What variable node v reads under the families fams, outermost
+    first: its kind, the arity of each family and its own index, with
+    every binder in scope named by the position of its family.  Two nodes
+    with equal results read the same keys of a binding."""
+    pos, arities = {}, []
+    for k, f in enumerate(fams):
+        a = f.arity
+        arities.append(a if isinstance(a, int) else (a.name, _by_position(a.index, pos)))
+        pos[f.binder] = k
+    return v.kind, tuple(arities), _by_position(v.index, pos)
+
+
+def _by_position(index, pos):
+    return tuple(("binder", pos[c]) if c in pos else c for c in index)
+
+
+def _side_ranks(p, rooted):
+    """The floor and the ceiling of set pattern p, one side of a retained
+    equation, against a root described by `rooted` (see `_check_plan`).
+
+    The floor is a rank that p's value surely reaches: the most, over
+    the listing members, union parts and bodies of families of arity at
+    least 1 that it surely holds, of the arrows above each of their leaves
+    plus the leaf's own rank (0 for a variable).  The ceiling is (d, c):
+    at rank bound R every value of p has rank at most max(R - d, c), d
+    None when no variable bounds it; or None when p has no ceiling.  A
+    variable whose every node, in the root and in p, reads the same keys
+    takes a value of rank at most R less the arrows above it in the root;
+    any other variable, a key the root never binds included, is unbounded.
+    """
+    floor, d, c = 0, None, 0
+    leaves, keys = [], {}
+    stack = [(p, 0, True, ())]
+    while stack:
+        q, above, sure, fams = stack.pop()
+        if isinstance(q, (GElem, GSet)):
+            c = max(c, above + q.rank)
+            if sure:
+                floor = max(floor, above + q.rank)
+        elif isinstance(q, (EVar, SVar)):
+            leaves.append((q.name, above))
+            if sure:
+                floor = max(floor, above)
+            read = _keys_read(q, fams)
+            keys[q.name] = read if keys.get(q.name, read) == read else None
+        elif isinstance(q, ArrowPat):
+            stack.append((q.ante, above + 1, sure, fams))
+            stack.append((q.cons, above + 1, sure, fams))
+        elif isinstance(q, FamilyPat):
+            ar = q.arity if isinstance(q.arity, int) else q.arity.minimum
+            stack.append((q.body, above, sure and ar >= 1, fams + (q,)))
+        else:
+            stack.extend((r, above, sure, fams) for r in _parts(q))
+    for name, above in leaves:
+        root_keys, depth = rooted.get(name, (None, 0))
+        if root_keys is None or keys[name] != root_keys:
+            return floor, None
+        d = depth - above if d is None else min(d, depth - above)
+    return floor, (d, c)
+
+
+def _least_rank(c, rooted):
+    """The least rank bound at which the two sides of binder-free equation
+    c can be equal by ranks alone: each side's ceiling must reach the
+    other side's floor (`_side_ranks`); math.inf if no bound does."""
+    (left_floor, left_ceil), (right_floor, right_ceil) = (
+        _side_ranks(c.left, rooted), _side_ranks(c.right, rooted))
+    least = 0
+    for ceiling, floor in ((left_ceil, right_floor), (right_ceil, left_floor)):
+        if ceiling is not None and ceiling[1] < floor:  # max(R - d, c) >= floor
+            least = max(least, math.inf if ceiling[0] is None else floor + ceiling[0])
+    return least
+
+
+def settled_by_ranks(t: Template, max_rank):
+    """Why t lists no element within max_rank by the ranks of its retained
+    equations alone (`_check_plan`'s least), naming the equation that
+    needs the least rank bound; None when ranks leave max_rank open."""
+    _, _, least, settler = _check_plan(t)
+    if max_rank >= least:
+        return None
+    below = "at any rank" if least == math.inf else f"below rank {least}"
+    return f"no element {below} (where {_constraint_text(t.constraints[settler])})"
 
 
 def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
@@ -1635,6 +1739,11 @@ def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
     larger than the budget: the pool's size is counted, up to the budget,
     before any of it is built.  Steps count only the work actually done,
     so a branch that is cut early costs no more budget.
+
+    A template whose retained equations cannot hold by ranks within
+    max_rank (`_check_plan`'s least) lists nothing, and no branch of it is
+    enumerated: one side of such an equation surely holds a member of a
+    rank that the other side's values cannot reach within the bound.
 
     Branches are cut in three ways, all exact:
     - An arrow pattern whose values all have a rank above the depth left
@@ -1663,8 +1772,10 @@ def enumerate_template(t: Template, bounds: Bounds, budget=DEFAULT_BUDGET):
     """
     if t.is_empty:
         return [], False
+    plan, arities, least, _ = _check_plan(t)
+    if bounds.max_rank < least:
+        return [], True
     slack = max(bounds.max_set_size, bounds.max_arity)
-    plan, arities = _check_plan(t)
     check = _ConstraintCheck(t.constraints, slack, bounds.max_arity, arities)
     enum = _Enumerator(bounds, check, budget, plan)
     out = []
@@ -1803,14 +1914,14 @@ def pretty(p) -> str:
 def template_to_text(t: Template) -> str:
     if t.is_empty:
         return "<empty>"
-    lines = [pretty(t.root)]
-    for c in t.constraints:
-        prefix = "".join(
-            f"forall {bn} in 1..{ar if isinstance(ar, int) else pretty(ar)}: "
-            for bn, ar in c.binders
-        )
-        lines.append(f"  where {prefix}{pretty(c.left)} = {pretty(c.right)}")
-    return "\n".join(lines)
+    return "\n".join([pretty(t.root)]
+                     + [f"  where {_constraint_text(c)}" for c in t.constraints])
+
+
+def _constraint_text(c: Constraint) -> str:
+    prefix = "".join(f"forall {bn} in 1..{ar if isinstance(ar, int) else pretty(ar)}: "
+                     for bn, ar in c.binders)
+    return f"{prefix}{pretty(c.left)} = {pretty(c.right)}"
 
 
 def _var_text(name, index):

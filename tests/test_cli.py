@@ -291,7 +291,7 @@ def test_closure_sweep_reports_coverage(capsys, monkeypatch):
                        "--max-set-size", "1", "--max-nat", "1")
     assert code == 0
     assert "[?? ] S(SS)(SS)  budget exhausted at rank 3" in out
-    assert "[?? ] S(SS)  no base-rooted element up to rank 3" in out
+    assert "[?? ] S(SS)  no element below rank 4 (where {r[i] : i in 1..n} = " in out
     assert "unsupported=0 coverage=1/3" in out
 
 

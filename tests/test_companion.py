@@ -199,8 +199,9 @@ def test_sweep_records_unsupported_terms(monkeypatch):
 
 def test_sweep_reports_every_unchecked_term(monkeypatch):
     # S(SS)(SS) at (3,1,1) exhausts its budget at rank 3 (faked here, to
-    # be quick); S(SS) has no base-rooted element at rank 3; S(SS)SS is
-    # unsupported.  Each checks nothing, and each is named with its reason.
+    # be quick); the ranks of a retained equation of S(SS) rule out every
+    # element below rank 4; S(SS)SS is unsupported.  Each checks nothing,
+    # and each is named with its reason.
     import engeler.terms
 
     names = ["S(SS)(SS)", "S(SS)", "S(SS)SS", "S"]
@@ -209,9 +210,11 @@ def test_sweep_reports_every_unchecked_term(monkeypatch):
     exhaust_budget_on(monkeypatch, "S(SS)(SS)")
     records, summary = sweep_closure(max_leaves=5, max_rank=3, set_width=1,
                                      max_nat=0, budget=400_000)
+    settled = summary["unchecked"]["S(SS)"]
+    assert settled.startswith("no element below rank 4 (where {r[i] : i in 1..n} = ")
     assert summary["unchecked"] == {
         "S(SS)(SS)": "budget exhausted at rank 3",
-        "S(SS)": "no base-rooted element up to rank 3",
+        "S(SS)": settled,
         "S(SS)SS": "unsupported: " + summary["unsupported"]["S(SS)SS"],
     }
     assert summary["rank_reached"] == {"S(SS)(SS)": 0, "S(SS)": 3, "S(SS)SS": 0, "S": 3}

@@ -62,6 +62,7 @@ from engeler.templates import (
     pretty,
     reindex,
     rename_vars,
+    settled_by_ranks,
     template_of,
     template_to_json,
     template_to_text,
@@ -567,10 +568,12 @@ def test_enumeration_matches_reference(bounds):
 
 # Each of these but SSS, SS(SS)S and SS(SSS) keeps retained constraints,
 # checked once its antecedent side is bound, so the early check, the memo
-# and the room left in a full union all take part.
+# and the room left in a full union all take part.  Ranks settle S(S(SSS))
+# and S(S(SS)) at rank 3, so nothing of them is enumerated; S(SS)(SSS)
+# needs rank 3 exactly, so it is.
 @pytest.mark.parametrize("text", [
     "SSS", "SS(SS)S", "SS(SSS)", "S(SSS)S", "S(S(SSS))", "S(S(SS))", "S(S(SS)S)",
-    "SS(S(SS))", "S(S(S(SS)))",
+    "SS(S(SS))", "S(S(S(SS)))", "S(SS)(SSS)",
 ])
 def test_rank3_enumeration_matches_reference(text):
     t = template_of(parse_term(text))
@@ -578,7 +581,8 @@ def test_rank3_enumeration_matches_reference(text):
     assert enumerate_template(t, bounds)[0] == _reference_enumeration(t, bounds)
 
 
-@pytest.mark.parametrize("text", ["SSS(SS)", "S(S(SS))S"])
+# ranks settle S(S(SS))S at rank 2, and SS(SS)(SS) needs rank 2 exactly
+@pytest.mark.parametrize("text", ["SSS(SS)", "S(S(SS))S", "SS(SS)(SS)"])
 def test_rank2_enumeration_with_constraints_matches_reference(text):
     t = template_of(parse_term(text))
     bounds = Bounds(2, 1, 0)
@@ -622,13 +626,30 @@ def test_early_check_decides_where_a_later_constraint_raises():
 
 
 def test_a_ground_side_refutes_before_the_other_side_is_bound():
+    # X = {(A -> 1), Z} is checked as soon as X is bound, with A and Z
+    # free, and no X within nat 0 holds an arrow into 1.  Z ends the root's
+    # consequent spine, so without this check every candidate would reach
+    # the full check, whose first equation P = Q has both sides open.
+    # Ranks leave rank 2 open.
+    t = Template(ArrowPat(SVar("X"), EVar("Z")), (
+        Constraint((), SVar("P"), SVar("Q")),
+        Constraint((), SVar("X"), ExplicitPat((ArrowPat(SVar("A"), nat(1)), EVar("Z"))))))
+    plan, _, least, _ = _check_plan(t)
+    assert plan[t.root] == ((0, 1), ()) and least == 2
+    with pytest.raises(UnsupportedMatch, match="both sides open"):
+        _reference_enumeration(t, Bounds(2, 1, 0))
+    assert enumerate_template(t, Bounds(2, 1, 0)) == ([], True)
+
+
+def test_ranks_settle_where_every_full_check_has_both_sides_open():
     # SSS(S(SS)) at (2,1,0): every candidate's full check reaches an
-    # equation with both sides open, but as soon as one side is ground the
-    # other cannot match it, so the enumeration answers; the oracle agrees
+    # equation with both sides open, but ranks rule out every element
+    # below rank 4, so the enumeration answers; the oracle agrees
     sigma = parse_term("SSS(S(SS))")
     t = template_of(sigma)
     with pytest.raises(UnsupportedMatch, match="both sides open"):
         _reference_enumeration(t, Bounds(2, 1, 0))
+    assert _check_plan(t)[2] == 4
     assert enumerate_template(t, Bounds(2, 1, 0)) == ([], True)
     elems = universe(2, 1, 0)
     assert len(elems) == 13
@@ -636,17 +657,22 @@ def test_a_ground_side_refutes_before_the_other_side_is_bound():
 
 
 def test_one_side_checks_keep_s_ss_at_rank3_set_size2():
+    # ranks now settle S(SS) at rank 3, so this checks the rank cut against
+    # the unpruned reference; one-side checks at set size 2 are checked on
+    # a set-bodied family below
     t = template_of(parse_term("S(SS)"))
     bounds = Bounds(3, 2, 0)
     assert enumerate_template(t, bounds)[0] == _reference_enumeration(t, bounds)
 
 
 def test_one_side_checks_cut_enumeration_steps(monkeypatch):
-    # checking each constraint of S(S(SS)) at (3,1,0) only once both of its
-    # sides are bound takes 13,701 steps
+    # checking each constraint of SS(SS)(SS) at (3,1,0) only once both of
+    # its sides are bound takes 3,409 steps; ranks leave rank 3 open
     made = _recording_enumerators(monkeypatch)
-    enumerate_template(template_of(parse_term("S(S(SS))")), Bounds(3, 1, 0))
-    assert made[0].steps < 13_701
+    t = template_of(parse_term("SS(SS)(SS)"))
+    assert _check_plan(t)[2] <= 3
+    assert enumerate_template(t, Bounds(3, 1, 0)) == ([], True)
+    assert made[0].steps < 3_409
 
 
 def test_open_union_part_beside_too_many_ground_elements_raises():
@@ -704,12 +730,80 @@ def test_one_side_check_tries_every_arity_of_an_open_set_bodied_family():
     union = _set_union_family()
     t = Template(ArrowPat(SVar("X"), ArrowPat(union, nat(0))),
                  (Constraint((), SVar("X"), union),))
-    plan, arities = _check_plan(t)
-    assert plan[t.root] == ((0,), ()) and arities == {"n"}
+    plan, arities, least, _ = _check_plan(t)
+    assert plan[t.root] == ((0,), ()) and arities == {"n"} and least == 0
     for bounds in (Bounds(2, 1, 0), Bounds(2, 2, 0)):
         got = enumerate_template(t, bounds)[0]
         assert got == _reference_enumeration(t, bounds)
         assert parse_gelem("({} -> ({} -> 0))") in got
+
+
+@pytest.mark.parametrize("text, least", [
+    ("S(SS)", 4), ("S(S(SS))", 5), ("S(S(SSS))", 4), ("S(S(SS))S", 4),
+    ("S", 0), ("SS", 0), ("S(S(S(SS)))", 0),
+])
+def test_least_rank_of_s_terms(text, least):
+    assert _check_plan(template_of(parse_term(text)))[2] == least
+
+
+def _without_rank_cut(monkeypatch):
+    """enumerate_template with every template's least rank taken as 0."""
+    plan = templates._check_plan
+    monkeypatch.setattr(templates, "_check_plan", lambda t: plan(t)[:2] + (0, None))
+
+
+def test_ranks_settle_s_ss_below_rank_4(monkeypatch):
+    # a retained equation of S(SS) needs {r[i] : i in 1..n}, whose members
+    # sit two arrows deep in the root, to hold a member of rank 2
+    t = template_of(parse_term("S(SS)"))
+    assert enumerate_template(t, Bounds(3, 2, 1)) == ([], True)
+    assert settled_by_ranks(t, 3).startswith(
+        "no element below rank 4 (where {r[i] : i in 1..n} = ")
+    assert settled_by_ranks(t, 4) is None
+    assert len(enumerate_template(t, Bounds(4, 1, 0))[0]) == 68
+    _without_rank_cut(monkeypatch)
+    assert enumerate_template(t, Bounds(3, 1, 0)) == ([], True)
+
+
+def _rank_guard(arity):
+    """A root that binds r[i] : i in 1..n two arrows deep, and an equation
+    that needs {r[j] : j in 1..arity} to hold an element of rank 2."""
+    n = AVar("n")
+    root = ArrowPat(FamilyPat(n, "i", ArrowPat(ExplicitPat(()), EVar("r", ("i",)))), nat(0))
+    listing = FamilyPat(arity, "j", EVar("r", ("j",)))
+    return Template(root, (Constraint((), listing, gset([parse_gelem("({} -> ({} -> 0))")])),))
+
+
+def test_rank_cut_leaves_keys_the_root_may_not_bind():
+    # r[j] : j in 1..m reads keys that r[i] : i in 1..n need not bind: with
+    # n = 0 and m = 1 the element ({} -> 0) is a member
+    t = _rank_guard(AVar("m"))
+    assert _check_plan(t)[2] == 0
+    assert parse_gelem("({} -> 0)") in enumerate_template(t, Bounds(2, 1, 0))[0]
+    # read under a family of the same arity, with its binder named apart,
+    # r[j] takes only the values the root gives it, so rank 4 is the least
+    t = _rank_guard(AVar("n"))
+    assert _check_plan(t)[2] == 4
+    assert enumerate_template(t, Bounds(3, 1, 0)) == ([], True)
+    assert _reference_enumeration(t, Bounds(3, 1, 0)) == []
+
+
+def test_rank_cut_rules_out_only_empty_listings(monkeypatch):
+    # every (term, bounds) case that ranks settle lists nothing when the
+    # enumerator runs without the cut; one that runs out of its budget
+    # there is unconfirmed.  At 400,000 steps 134 of the 148 cases confirm
+    terms = {print_term(t): t for t in itertools.chain(
+        enumerate_s_terms(6), enumerate_terms(4, alphabet=("K", "S")))}
+    grid = [Bounds(rank, size, nat_) for rank in (1, 2, 3) for size in (1, 2)
+            for nat_ in (0, 1)]
+    settled = [(template_of(t), bounds) for t in terms.values() for bounds in grid
+               if settled_by_ranks(template_of(t), bounds.max_rank)]
+    assert len(terms) == 158 and len(settled) == 148
+    _without_rank_cut(monkeypatch)
+    outcomes = Counter(_outcome(lambda: len(enumerate_template(t, bounds, budget=5_000)[0]))
+                       for t, bounds in settled)
+    assert set(outcomes) <= {0, "BudgetExceeded"}
+    assert outcomes[0] >= 111
 
 
 def test_template_layer_leaves_no_cyclic_garbage():
